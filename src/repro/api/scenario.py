@@ -46,7 +46,7 @@ from repro.attacks import AttackResult, RandomGuessAttack, random_path
 from repro.checkpoint import CheckpointPlan
 from repro.config import ScaleConfig, get_scale
 from repro.datasets import Dataset, load_dataset
-from repro.exceptions import IncompatibleScenarioError, ScenarioError
+from repro.exceptions import IncompatibleScenarioError, ScenarioError, ValidationError
 from repro.federated import (
     AdversaryView,
     FeaturePartition,
@@ -61,6 +61,7 @@ from repro.resilience import DEGRADATIONS, BreakerPolicy, RetryPolicy
 from repro.serving import PredictionService
 from repro.telemetry import TRACE_SINKS, make_tracer
 from repro.utils.random import check_random_state, spawn_rngs
+from repro.utils.validation import check_positive_int
 
 __all__ = [
     "ScenarioConfig",
@@ -823,6 +824,11 @@ def _validate(config: ScenarioConfig, attack: ScenarioAttack, stack: DefenseStac
         raise ScenarioError(
             f"target_fraction must lie in (0, 1), got {config.target_fraction}"
         )
+    if config.n_predictions is not None:
+        try:
+            check_positive_int(config.n_predictions, name="n_predictions")
+        except ValidationError as exc:
+            raise ScenarioError(str(exc)) from None
     if config.query_budget is not None and config.query_budget < 1:
         raise ScenarioError(
             f"query_budget must be a positive int or None, got {config.query_budget}"

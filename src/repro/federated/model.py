@@ -69,6 +69,7 @@ class VerticalFLModel:
         self.parties = parties
         self._n_samples = n
         self.prediction_log_: list[int] = []
+        self._row_digests: np.ndarray | None = None
         #: Gate for :attr:`prediction_log_`. The log exists for protocol
         #: forensics at scenario scale; a workload replay pushing millions
         #: of requests through one deployment turns it into an unbounded
@@ -95,12 +96,10 @@ class VerticalFLModel:
         inside this call and never returned; the caller (the active party)
         sees just the confidence-score matrix.
         """
-        sample_indices = np.asarray(sample_indices, dtype=np.int64).ravel()
-        if sample_indices.size == 0:
-            raise ProtocolError("prediction request with no sample ids")
+        sample_indices = self._request_ids(sample_indices, "prediction")
         joint = self._assemble(sample_indices)
         if self.log_predictions:
-            self.prediction_log_.extend(int(i) for i in sample_indices)
+            self.prediction_log_.extend(sample_indices.tolist())
         return self.model.predict_proba(joint)
 
     def predict_all(self) -> np.ndarray:
@@ -112,20 +111,41 @@ class VerticalFLModel:
 
         The serving layer keys its response cache and its duplicate-query
         audit on these: two requests for byte-identical joint feature
-        rows collide even under different sample ids. Like
-        :meth:`predict`, the rows are assembled only inside this call —
-        the digest reveals equality, never values.
+        rows collide even under different sample ids. Each digest is the
+        sha1 of one joint row's bytes; the table of all of them is built
+        on the first request and then only looked up. That is sound
+        because the parties' data is validated and fixed when the
+        deployment is built. Like :meth:`predict`, rows are assembled
+        only inside the protocol — a digest reveals equality, never
+        values.
         """
-        sample_indices = np.asarray(sample_indices, dtype=np.int64).ravel()
-        if sample_indices.size == 0:
-            raise ProtocolError("hash request with no sample ids")
-        joint = np.ascontiguousarray(self._assemble(sample_indices))
-        return [hashlib.sha1(row.tobytes()).hexdigest() for row in joint]
+        sample_indices = self._request_ids(sample_indices, "hash")
+        # Shards replaying on threads may race to build the table; each
+        # builds the same content, so the race costs time, never bytes.
+        if self._row_digests is None:
+            joint = self._assemble(np.arange(self._n_samples))
+            self._row_digests = np.array(
+                [hashlib.sha1(row.tobytes()).hexdigest() for row in joint], dtype=object
+            )
+        return self._row_digests[sample_indices].tolist()
+
+    def _request_ids(self, sample_indices: np.ndarray, what: str) -> np.ndarray:
+        """A request's ids as int64, checked once against the deployment."""
+        ids = np.asarray(sample_indices, dtype=np.int64).ravel()
+        if ids.size == 0:
+            raise ProtocolError(f"{what} request with no sample ids")
+        if ids.min() < 0 or ids.max() >= self._n_samples:
+            raise ProtocolError(
+                f"{what} request names a sample index out of range "
+                f"[0, {self._n_samples})"
+            )
+        return ids
 
     def _assemble(self, sample_indices: np.ndarray) -> np.ndarray:
+        """The joint rows of already validated ids (C order)."""
         joint = np.empty((sample_indices.size, self.partition.n_features))
         for party in self.parties:
-            joint[:, party.feature_indices] = party.local_features(sample_indices)
+            joint[:, party.feature_indices] = party.gather(sample_indices)
         return joint
 
     # ------------------------------------------------------------------

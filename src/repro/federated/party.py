@@ -55,6 +55,15 @@ class Party:
             raise ProtocolError(
                 f"party {self.party_id}: sample index out of range [0, {self.n_samples})"
             )
+        return self.gather(sample_indices)
+
+    def gather(self, sample_indices: np.ndarray) -> np.ndarray:
+        """:meth:`local_features` for int64 ids the caller already checked.
+
+        The simulated protocol validates a request's ids once against the
+        aligned sample count, which every party shares, and then gathers
+        each party's block through this method.
+        """
         return self._data[sample_indices]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

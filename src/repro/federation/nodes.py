@@ -28,6 +28,7 @@ from repro.federated.party import ActiveParty, Party
 from repro.federation.faults import FaultPlan
 from repro.federation.message import Message
 from repro.federation.transport import Transport
+from repro.resilience.chaos import FaultOutcome
 
 __all__ = ["ActivePartyNode", "PartyNode", "PassivePartyNode"]
 
@@ -67,7 +68,7 @@ class PartyNode:
 class PassivePartyNode(PartyNode):
     """A feature-contributing party's protocol behaviour."""
 
-    def respond(self, attempt: int = 0) -> Message:
+    def respond(self, attempt: int, outcome: FaultOutcome) -> Message:
         """Answer the oldest pending request with this party's block.
 
         The unit of work a scheduler runs on its own thread: pop the
@@ -76,6 +77,8 @@ class PassivePartyNode(PartyNode):
         to send. Only this node's own state is touched — the stochastic
         fault decision for ``(party, round, attempt)`` is a pure chaos
         function — which is what makes the threaded scheduler race-free.
+        The runtime draws that decision once per cell and passes it as
+        ``outcome``.
         """
         request = self.transport.receive(self.party_id)
         if request.kind not in _REQUEST_TO_REPLY:
@@ -89,7 +92,6 @@ class PassivePartyNode(PartyNode):
                 f"{request.round_id}; the {request.kind!r} request has no "
                 "responder"
             )
-        outcome = self.faults.outcome(self.party_id, request.round_id, attempt)
         if outcome.kind == "crash":
             raise PartyUnavailableError(
                 f"party {self.party_id} crashed before round "
@@ -102,8 +104,8 @@ class PassivePartyNode(PartyNode):
                 f"{request.round_id} (flaky); a retry may succeed"
             )
         # "corrupt" and "timeout" outcomes still produce the reply: the
-        # runtime (which recomputes the same pure outcome) flips the
-        # frame in flight / accounts the simulated latency.
+        # runtime (which holds the same pure outcome) flips the frame in
+        # flight / accounts the simulated latency.
         delay = self.faults.delays.get(self.party_id)
         if delay:
             time.sleep(delay)

@@ -22,6 +22,7 @@ stays central, matching the paper's perfectly-protected training phase.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -50,23 +51,24 @@ from repro.federation.nodes import (
 from repro.federation.scheduler import RoundScheduler, make_scheduler
 from repro.federation.transport import Transport
 from repro.models.base import BaseClassifier
-from repro.resilience import DEGRADATIONS, ResilienceState, RetryPolicy
+from repro.resilience import DEGRADATIONS, FaultOutcome, ResilienceState, RetryPolicy
 
 __all__ = ["FederationRuntime", "train_vertical_runtime"]
 
 
-def _guarded_respond(node: PassivePartyNode, attempt: int):
+def _guarded_respond(node: PassivePartyNode, attempt: int, outcome: FaultOutcome):
     """Wrap one responder so a failing party returns its error.
 
     The resilient exchange needs *every* party's outcome for the wave —
     a raised :class:`PartyUnavailableError` would make the scheduler
     cancel the sibling tasks — so failures travel back as values and the
-    runtime sorts survivors from casualties afterwards.
+    runtime sorts survivors from casualties afterwards. ``outcome`` is
+    the cell's fault decision, drawn once by the runtime.
     """
 
     def task() -> object:
         try:
-            return node.respond(attempt)
+            return node.respond(attempt, outcome)
         except PartyUnavailableError as exc:
             return exc
 
@@ -98,7 +100,14 @@ def _exchange_round(
             transport.send(
                 active.make_request(node.party_id, rows, round_id, kind=kind)
             )
-        replies = scheduler.run_round([node.respond for node in passives])
+        replies = scheduler.run_round(
+            [
+                functools.partial(
+                    node.respond, 0, node.faults.outcome(node.party_id, round_id, 0)
+                )
+                for node in passives
+            ]
+        )
         for reply in replies:
             transport.send(reply)
         blocks = active.collect_blocks(len(passives), round_id)
@@ -347,14 +356,17 @@ class FederationRuntime:
                     transport.send(
                         self._active.make_request(party, rows, round_id, kind=kind)
                     )
+                outcomes = [self.faults.outcome(p, round_id, attempt) for p in pending]
                 replies = self.scheduler.run_round(
-                    [_guarded_respond(node_by_id[p], attempt) for p in pending]
+                    [
+                        _guarded_respond(node_by_id[p], attempt, outcome)
+                        for p, outcome in zip(pending, outcomes)
+                    ]
                 )
                 wave_latency = 0.0
                 still_pending: list[int] = []
                 delivered: list[int] = []
-                for party, reply in zip(pending, replies):
-                    outcome = self.faults.outcome(party, round_id, attempt)
+                for party, reply, outcome in zip(pending, replies, outcomes):
                     if isinstance(reply, PartyUnavailableError):
                         last_failure[party] = outcome.kind
                         if outcome.permanent:

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.exceptions import NotFittedError, ValidationError
 from repro.models.base import BaseClassifier, DifferentiableClassifier
+from repro.models.mlp import network_proba
 from repro.nn.data import iterate_batches
 from repro.nn.layers import mlp
 from repro.nn.optim import make_optimizer
@@ -135,7 +136,7 @@ class RandomForestDistiller(DifferentiableClassifier):
     # ------------------------------------------------------------------
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = self._validate_predict_input(X)
-        return F.softmax(self.network_(Tensor(X)), axis=1).numpy()
+        return network_proba(self.network_, X)
 
     def forward_tensor(self, x: Tensor) -> Tensor:
         """Differentiable surrogate confidences (what GRNA differentiates)."""

@@ -10,14 +10,47 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.exceptions import ValidationError
 from repro.models.base import DifferentiableClassifier
 from repro.nn.data import iterate_batches
-from repro.nn.layers import mlp
+from repro.nn.layers import Dropout, Linear, ReLU, Sequential, mlp
 from repro.nn.optim import make_optimizer
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
+from repro.utils.numeric import relu
 from repro.utils.random import check_random_state
 from repro.utils.validation import check_in_range, check_positive_int
+
+
+def network_proba(network: Sequential, X: np.ndarray) -> np.ndarray:
+    """Eval-mode softmax confidences of an MLP, in plain NumPy.
+
+    The serving twin of ``F.softmax(network(Tensor(X)), axis=1)``: it runs
+    the graph's NumPy operations in the graph's order — ``(x @ W) + b``,
+    the ReLU, the max shift added as ``h + (max * -1.0)`` and the division
+    taken as ``ez * (s ** -1.0)`` — so the bytes are identical, but it
+    builds no autodiff nodes and leaves the modules' train/eval flags
+    alone. Dropout is skipped, which is what eval mode does. Only the
+    layers :func:`~repro.nn.layers.mlp` builds for these models are
+    accepted.
+    """
+    h = X
+    for layer in network.layers:
+        if isinstance(layer, Linear):
+            h = h @ layer.weight.data
+            if layer.bias is not None:
+                h += layer.bias.data
+        elif isinstance(layer, ReLU):
+            h = relu(h)
+        elif not isinstance(layer, Dropout):
+            raise ValidationError(
+                f"NumPy inference supports Linear, ReLU and Dropout layers, "
+                f"got {type(layer).__name__}"
+            )
+    h = h + (h.max(axis=1, keepdims=True) * -1.0)
+    np.exp(h, out=h)
+    h *= h.sum(axis=1, keepdims=True) ** -1.0
+    return h
 
 
 class MLPClassifier(DifferentiableClassifier):
@@ -79,9 +112,7 @@ class MLPClassifier(DifferentiableClassifier):
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = self._validate_predict_input(X)
-        self.network_.eval()
-        logits = self.network_(Tensor(X))
-        return F.softmax(logits, axis=1).numpy()
+        return network_proba(self.network_, X)
 
     def forward_tensor(self, x: Tensor) -> Tensor:
         """Differentiable confidence scores for GRNA (eval mode: no dropout)."""

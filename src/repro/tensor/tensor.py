@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.exceptions import GradientError, ShapeError, ValidationError
+from repro.utils.numeric import relu as _relu
 
 ArrayLike = "np.ndarray | float | int | list | tuple"
 
@@ -303,9 +304,9 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         """Elementwise rectified linear unit."""
-        mask = self.data > 0
-        out_data = np.where(mask, self.data, 0.0)
+        out_data = _relu(self.data)
         requires = self.requires_grad
+        mask = self.data > 0 if requires else None
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:

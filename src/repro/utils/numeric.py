@@ -21,6 +21,18 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def relu(x: np.ndarray) -> np.ndarray:
+    """Branchless ReLU ``max(x, 0)`` as a fresh array.
+
+    ``fmax`` returns the non-NaN operand, so NaN maps to ``0.0``, and the
+    ``+= 0.0`` turns a ``-0.0`` result into ``+0.0``: byte-for-byte the
+    output of ``np.where(x > 0, x, 0.0)``, without the mask and select.
+    """
+    out = np.fmax(x, 0.0)
+    out += 0.0
+    return out
+
+
 def log_sigmoid(x: np.ndarray) -> np.ndarray:
     """Stable ``log(sigmoid(x))`` computed as ``-log1p(exp(-x))`` piecewise."""
     x = np.asarray(x, dtype=np.float64)

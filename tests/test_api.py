@@ -215,6 +215,20 @@ class TestFullGrid:
                 )
             )
 
+    @pytest.mark.parametrize("n_predictions", [-3, 0, 2.7, True])
+    def test_bad_n_predictions_fails_before_loading(self, n_predictions, monkeypatch):
+        def no_load(*args, **kwargs):
+            raise AssertionError("dataset loaded before n_predictions was checked")
+
+        monkeypatch.setattr("repro.api.scenario.load_dataset", no_load)
+        with pytest.raises(ScenarioError, match="n_predictions"):
+            run_scenario(
+                ScenarioConfig(
+                    dataset="bank", model="lr", attack="esa",
+                    n_predictions=n_predictions, scale=MICRO,
+                )
+            )
+
 
 class TestScenarioReport:
     def test_baseline_metrics(self):

@@ -1,5 +1,7 @@
 """Tests for Party objects, the VFL model protocol, and PSI."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,49 @@ class TestVerticalFLModel:
         vfl, _, _ = vfl_setup
         with pytest.raises(ProtocolError):
             vfl.predict(np.array([], dtype=int))
+
+    def test_row_digests_equal_sha1_of_assembled_rows(self, vfl_setup):
+        vfl, X_pool, _ = vfl_setup
+        ids = np.array([5, 0, 5, X_pool.shape[0] - 1, 17])
+        expected = [
+            hashlib.sha1(np.ascontiguousarray(row).tobytes()).hexdigest()
+            for row in X_pool[ids]
+        ]
+        assert vfl.sample_hashes(ids) == expected
+        every = np.arange(X_pool.shape[0])
+        assert vfl.sample_hashes(every) == [
+            hashlib.sha1(row.tobytes()).hexdigest() for row in vfl._assemble(every)
+        ]
+
+    def test_row_digests_built_once_per_deployment(self, blobs, fitted_lr, monkeypatch):
+        X, y = blobs
+        partition = FeaturePartition.contiguous(6, [3, 3])
+        vfl = VerticalFLModel(fitted_lr, partition, build_parties(X, y, partition))
+        first = vfl.sample_hashes(np.array([3, 1]))
+
+        def no_assembly(ids):
+            raise AssertionError("sample_hashes assembled rows after the first call")
+
+        monkeypatch.setattr(vfl, "_assemble", no_assembly)
+        assert vfl.sample_hashes(np.array([1, 3])) == first[::-1]
+
+    @pytest.mark.parametrize("sizes", [[3, 3], [2, 1, 2, 1]])
+    @pytest.mark.parametrize("bad", [[-1], [7, 10_000], [[0, -3]], [2**40]])
+    def test_bad_ids_raise_before_any_row_is_read(
+        self, blobs, fitted_lr, monkeypatch, sizes, bad
+    ):
+        X, y = blobs
+        partition = FeaturePartition.contiguous(6, sizes)
+        vfl = VerticalFLModel(fitted_lr, partition, build_parties(X, y, partition))
+        for party in vfl.parties:
+            monkeypatch.setattr(
+                party, "gather", lambda ids: pytest.fail("row read for a bad request")
+            )
+        with pytest.raises(ProtocolError, match="out of range"):
+            vfl.predict(np.array(bad))
+        with pytest.raises(ProtocolError, match="out of range"):
+            vfl.sample_hashes(np.array(bad))
+        assert vfl.prediction_log_ == []
 
     def test_ground_truth_matches_pool(self, vfl_setup):
         vfl, X_pool, _ = vfl_setup

@@ -9,6 +9,8 @@ from repro.models import (
     RandomForestClassifier,
     RandomForestDistiller,
 )
+from repro.models.mlp import network_proba
+from repro.nn.layers import LayerNorm, Linear, Sequential
 from repro.tensor import Tensor
 
 
@@ -154,3 +156,59 @@ class TestDistiller:
     def test_invalid_loss_rejected(self):
         with pytest.raises(ValidationError):
             RandomForestDistiller(loss="huber")
+
+
+class TestNumpyInference:
+    """``predict_proba`` runs plain NumPy; ``forward_tensor`` is the reference."""
+
+    @staticmethod
+    def probe_inputs(model, blobs):
+        """Rows whose first-layer pre-activations hit exact zeros.
+
+        Zeroing half of the first layer's biases makes an all-zero row
+        (and a row of ``-0.0``) produce pre-activations that are exactly
+        ``0.0`` or ``-0.0``, the ReLU's edge.
+        """
+        X, _ = blobs
+        model.network_[0].bias.data[::2] = 0.0
+        d = X.shape[1]
+        return np.vstack([X[:37], np.zeros((1, d)), np.full((1, d), -0.0), X[37:40] * -1.0])
+
+    @staticmethod
+    def assert_matches_graph(model, X):
+        for order in ("C", "F"):
+            Xo = np.asarray(X, order=order)
+            reference = model.forward_tensor(Tensor(Xo)).data
+            assert model.predict_proba(Xo).tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    def test_mlp_matches_graph(self, blobs, dropout):
+        X, y = blobs
+        model = MLPClassifier(hidden_sizes=(16, 8), epochs=2, dropout=dropout, rng=0).fit(X, y)
+        model.network_.train()
+        self.assert_matches_graph(model, self.probe_inputs(model, blobs))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_widths_match_graph(self, blobs, seed):
+        X, y = blobs
+        rng = np.random.default_rng(seed)
+        widths = tuple(int(w) for w in rng.integers(1, 40, size=rng.integers(1, 4)))
+        model = MLPClassifier(hidden_sizes=widths, epochs=1, rng=seed).fit(X, y)
+        self.assert_matches_graph(model, self.probe_inputs(model, blobs))
+
+    def test_distiller_matches_graph(self, fitted_forest, blobs):
+        distiller = RandomForestDistiller(hidden_sizes=(24, 12), n_dummy=200, epochs=2, rng=0)
+        distiller.distill(fitted_forest, fitted_forest.n_features_)
+        self.assert_matches_graph(distiller, self.probe_inputs(distiller, blobs))
+
+    def test_leaves_train_flags_alone(self, blobs):
+        X, y = blobs
+        model = MLPClassifier(hidden_sizes=(8,), epochs=1, dropout=0.5, rng=0).fit(X, y)
+        model.network_.train()
+        model.predict_proba(X[:3])
+        assert all(m.training for m in model.network_.modules())
+
+    def test_unsupported_layer_rejected(self):
+        network = Sequential(Linear(3, 3, rng=0), LayerNorm(3))
+        with pytest.raises(ValidationError, match="LayerNorm"):
+            network_proba(network, np.ones((2, 3)))

@@ -563,6 +563,22 @@ class TestResilientExchange:
         assert requests == ledger["rounds"] * 2 + ledger["retries"]
         assert ledger["bytes"] == runtime.transport.delivered_bytes
 
+    def test_each_fault_cell_is_drawn_once(self, monkeypatch):
+        vfl = deploy()
+        runtime = storm_runtime(vfl)
+        cells = []
+        draw = FaultPlan.outcome
+
+        def counting(plan, party, round_id, attempt):
+            cells.append((party, round_id, attempt))
+            return draw(plan, party, round_id, attempt)
+
+        monkeypatch.setattr(FaultPlan, "outcome", counting)
+        for start in range(0, 40, 8):
+            runtime.predict(np.arange(start, start + 8))
+        assert runtime.ledger.retries > 0
+        assert len(cells) == len(set(cells)) == runtime.ledger.rounds * 2 + runtime.ledger.retries
+
     def test_storm_is_bit_identical_across_schedulers(self):
         vfl = deploy()
         outputs = {}

@@ -5,6 +5,7 @@ import pytest
 
 from repro.exceptions import GradientError, ShapeError, ValidationError
 from repro.tensor import Tensor, concat, stack_rows, unbroadcast
+from repro.utils.numeric import relu
 
 
 class TestConstruction:
@@ -89,6 +90,23 @@ class TestTranscendental:
 
     def test_relu(self):
         np.testing.assert_array_equal(Tensor([-1.0, 2.0]).relu().data, [0.0, 2.0])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_relu_bytes_match_masked_select_on_edge_values(self, order):
+        edges = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, -5e-324, 5e-324, -1.5, 2.5]
+        x = np.asarray(np.resize(edges, (4, 5)), order=order)
+        expected = np.where(x > 0, x, 0.0)
+        assert Tensor(x).relu().data.tobytes() == expected.tobytes()
+        assert relu(x).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("value", [-0.0, np.nan, -np.inf])
+    def test_relu_zero_dim_edge_values_are_positive_zero(self, value):
+        assert Tensor(value).relu().data.tobytes() == np.float64(0.0).tobytes()
+
+    def test_relu_gradient_mask_excludes_zero_and_nan(self):
+        t = Tensor([-0.0, 0.0, np.nan, 3.0, -2.0], requires_grad=True)
+        t.relu().sum().backward()
+        np.testing.assert_array_equal(t.grad, [0.0, 0.0, 0.0, 1.0, 0.0])
 
     def test_abs(self):
         np.testing.assert_array_equal(Tensor([-1.5, 2.0]).abs().data, [1.5, 2.0])
