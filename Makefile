@@ -54,7 +54,7 @@ bench-smoke:
 resume-smoke:
 	$(PY) scripts/kill_resume_smoke.py
 
-## storm-smoke: scheduler bit-identity and mid-storm resume under a fault storm
+## storm-smoke: a fault storm degrades rounds, and a mid-storm resume is bit-identical
 storm-smoke:
 	$(PY) scripts/fault_storm_smoke.py
 

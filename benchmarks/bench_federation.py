@@ -2,8 +2,7 @@
 
 Measures what executing the prediction protocol as metered
 message-passing costs over the in-process concatenation it replaces
-(bit-identical by contract), and what the threaded scheduler buys when a
-party straggles::
+(bit-identical by contract)::
 
     PYTHONPATH=src python benchmarks/bench_federation.py            # default
     PYTHONPATH=src python benchmarks/bench_federation.py --tiny     # CI smoke
@@ -11,17 +10,13 @@ party straggles::
 Modes benchmarked per model kind (batched rounds of 64):
 
 - ``in-process``: direct ``vfl.predict`` chunks — no wire, no ledger;
-- ``sequential``: runtime rounds on the sequential scheduler;
-- ``threaded``: runtime rounds on the threaded scheduler;
-- ``threaded+lag``: a straggling party (fixed per-round delay) under the
-  threaded scheduler — the case threading exists for.
+- ``sequential``: metered runtime rounds, parties in party order.
 
 Reports rounds/sec and bytes/round from the CommLedger. Writes a
 ``BENCH_federation*.json`` summary (the CI artifact). Exits non-zero —
 a regression gate, not a printout — when metering exactness breaks
-(ledger bytes != the analytic estimate), when the runtime's round
-overhead exceeds ``MAX_OVERHEAD``× the in-process path, or when the
-threaded scheduler fails to overlap a straggler's delay.
+(ledger bytes != the analytic estimate) or when the runtime's round
+overhead exceeds ``MAX_OVERHEAD``× the in-process path.
 """
 
 from __future__ import annotations
@@ -38,7 +33,7 @@ from repro.api import make_model
 from repro.config import ScaleConfig
 from repro.datasets import load_dataset
 from repro.federated import FeaturePartition, train_vertical_model
-from repro.federation import FaultPlan, FederationRuntime
+from repro.federation import FederationRuntime
 
 #: Gate: a metered message-passing round may cost at most this many
 #: times the raw in-process protocol call (generous on purpose — the
@@ -87,7 +82,6 @@ DEFAULT = ScaleConfig(
 )
 
 BATCH = 64
-STRAGGLER_DELAY = 0.002
 
 
 def deploy(model_kind: str, scale: ScaleConfig, n_parties: int = 4):
@@ -133,28 +127,10 @@ def bench_model(model_kind: str, scale: ScaleConfig, repeats: int) -> dict:
         lambda: [vfl.predict(chunk) for chunk in rounds], repeats
     )
 
-    sequential = FederationRuntime(vfl, scheduler="sequential")
+    sequential = FederationRuntime(vfl)
     results["sequential"] = timed(
         lambda: [sequential.predict(chunk) for chunk in rounds], repeats
     )
-
-    threaded = FederationRuntime(vfl, scheduler="threaded")
-    results["threaded"] = timed(
-        lambda: [threaded.predict(chunk) for chunk in rounds], repeats
-    )
-
-    lagged = FederationRuntime(
-        vfl,
-        scheduler="threaded",
-        faults=FaultPlan.from_specs(
-            [("straggler", {"party": 1, "delay": STRAGGLER_DELAY})]
-        ),
-    )
-    results["threaded+lag"] = timed(
-        lambda: [lagged.predict(chunk) for chunk in rounds], repeats
-    )
-    threaded.close()
-    lagged.close()
 
     # Metering exactness on a fresh run: measured bytes == analytic cost.
     meter = FederationRuntime(vfl)
@@ -216,7 +192,6 @@ def main(argv: "list[str] | None" = None) -> int:
             "numpy": np.__version__,
         },
         "batch": BATCH,
-        "straggler_delay": STRAGGLER_DELAY,
         "models": {},
     }
     ok = True
@@ -243,19 +218,6 @@ def main(argv: "list[str] | None" = None) -> int:
             print(
                 f"!! {model_kind}: protocol round overhead {overhead:.1f}x "
                 f"exceeds the {MAX_OVERHEAD}x gate"
-            )
-        # Three stragglable parties per round: serial execution would pay
-        # 3 delays, the threaded barrier pays ~1. Gate at 2 to be safe.
-        lag_budget = (
-            stats["seconds"]["threaded"]
-            + 2.0 * STRAGGLER_DELAY * stats["n_rounds"]
-        )
-        if stats["seconds"]["threaded+lag"] > lag_budget:
-            ok = False
-            print(
-                f"!! {model_kind}: threaded scheduler failed to overlap the "
-                f"straggler ({stats['seconds']['threaded+lag']:.4f}s > "
-                f"{lag_budget:.4f}s budget)"
             )
 
     out = args.out or (

@@ -11,8 +11,7 @@ Modes benchmarked (4-party LR deployment, batched prediction rounds):
 
 - ``fault-free``: the legacy exchange, no resilience engaged;
 - ``storm-sequential``: flaky+timeout storm, retries and quorum
-  degradation on the sequential scheduler;
-- ``storm-threaded``: the same storm on the threaded scheduler.
+  degradation.
 
 Gates (any failure prints ``!!`` and exits non-zero):
 
@@ -30,8 +29,6 @@ Gates (any failure prints ``!!`` and exits non-zero):
    ``MAX_BYTE_OVERHEAD``x of the fault-free accumulation, and the
    sequential storm round rate stays within ``MAX_OVERHEAD``x of the
    fault-free path.
-5. **Scheduler bit-identity** — predictions, ledger snapshot, and
-   availability report agree byte-for-byte across schedulers.
 """
 
 from __future__ import annotations
@@ -146,10 +143,9 @@ def timed(fn, repeats: int) -> float:
     return best
 
 
-def storm_runtime(vfl, scheduler: str) -> FederationRuntime:
+def storm_runtime(vfl) -> FederationRuntime:
     return FederationRuntime(
         vfl,
-        scheduler=scheduler,
         faults=FaultPlan.from_specs(STORM),
         retry=dict(RETRY),
         quorum=QUORUM,
@@ -166,7 +162,7 @@ def replay_storm_analytically(
     the attempt budget through :meth:`FaultPlan.outcome` exactly as the
     resilient exchange does, and tally what the ledger and availability
     report *must* say. Any divergence from the measured run means a
-    chaos decision was consumed impurely (order- or scheduler-dependent).
+    chaos decision was consumed impurely (order-dependent).
     """
     retries = 0
     timeouts = 0
@@ -236,33 +232,24 @@ def main(argv: "list[str] | None" = None) -> int:
     fault_free_bytes = free_bytes_runtime.ledger.total_bytes
 
     seconds["storm-sequential"] = timed(
-        lambda: [storm_runtime(vfl, "sequential").predict(chunk) for chunk in rounds],
+        lambda: [storm_runtime(vfl).predict(chunk) for chunk in rounds],
         args.repeats,
     )
-    threaded_probe = storm_runtime(vfl, "threaded")
-    seconds["storm-threaded"] = timed(
-        lambda: [threaded_probe.predict(chunk) for chunk in rounds], args.repeats
-    )
-    threaded_probe.close()
 
-    # One clean measured run per scheduler for the exactness gates.
-    runs = {}
-    for scheduler in ("sequential", "threaded"):
-        runtime = storm_runtime(vfl, scheduler)
-        predictions = np.concatenate([runtime.predict(chunk) for chunk in rounds])
-        runs[scheduler] = {
-            "predictions": predictions,
-            "ledger": runtime.ledger.as_dict(),
-            "availability": runtime.availability_report(),
-            "delivered_bytes": runtime.transport.delivered_bytes,
-            "request_frames": sum(
-                1
-                for rec in runtime.transport.delivery_log
-                if rec.kind == FEATURE_REQUEST
-            ),
-        }
-        runtime.close()
-    measured = runs["sequential"]
+    # One clean measured run for the exactness gates.
+    runtime = storm_runtime(vfl)
+    for chunk in rounds:
+        runtime.predict(chunk)
+    measured = {
+        "ledger": runtime.ledger.as_dict(),
+        "availability": runtime.availability_report(),
+        "delivered_bytes": runtime.transport.delivered_bytes,
+        "request_frames": sum(
+            1
+            for rec in runtime.transport.delivery_log
+            if rec.kind == FEATURE_REQUEST
+        ),
+    }
 
     # Gate 1: every frame the storm moved is on the ledger, exactly.
     if measured["ledger"]["bytes"] != measured["delivered_bytes"]:
@@ -322,17 +309,6 @@ def main(argv: "list[str] | None" = None) -> int:
             f"path; gate is {MAX_OVERHEAD}x"
         )
 
-    # Gate 5: the storm is bit-identical across schedulers.
-    if not np.array_equal(
-        runs["sequential"]["predictions"], runs["threaded"]["predictions"]
-    ):
-        ok = False
-        print("!! storm predictions differ between schedulers")
-    for key in ("ledger", "availability"):
-        if runs["sequential"][key] != runs["threaded"][key]:
-            ok = False
-            print(f"!! storm {key} differs between schedulers")
-
     header = f"{'mode':<18} {'seconds':>10} {'rounds/s':>10}"
     print(header)
     print("-" * len(header))
@@ -367,8 +343,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "availability": {
             k: v for k, v in availability.items() if k != "degraded"
         },
-        "scheduler_identical": runs["sequential"]["ledger"]
-        == runs["threaded"]["ledger"],
     }
     out = args.out or (
         "BENCH_resilience-live.json" if args.tiny else "BENCH_resilience.json"

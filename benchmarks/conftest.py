@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.experiments.config import PRESETS
+from repro.config import PRESETS
 
 
 @pytest.fixture(scope="session")

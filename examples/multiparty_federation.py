@@ -15,8 +15,8 @@ Shown here:
    analytic cost of the accumulation;
 3. a fractional communication budget that truncates the accumulation at
    the last affordable protocol round (GRNA trains on what crossed);
-4. fault injection: a straggler slows a round (threaded scheduler
-   overlaps the wait); a dropped party kills it with a clear error.
+4. fault injection: a straggler costs simulated seconds, never a
+   different result; a dropped party kills the round with a clear error.
 
 Run:
     python examples/multiparty_federation.py            # default scale
@@ -61,7 +61,7 @@ def main() -> None:
             dataset="bank", model="nn", attack="grna",
             target_fraction=0.4, scale=SCALE, seed=0,
             baselines=("uniform",),
-            topology=TOPOLOGY, batch_size=32, scheduler="threaded",
+            topology=TOPOLOGY, batch_size=32,
         )
     )
     runtime = report.scenario.runtime
@@ -104,7 +104,8 @@ def main() -> None:
           "(trained on the affordable rounds)\n")
 
     # ------------------------------------------------------------------
-    # 4 — faults: a straggler only costs time; a dropped party fails loudly.
+    # 4 — faults: a straggler only costs simulated time; a dropped party
+    # fails loudly.
     # ------------------------------------------------------------------
     report = run_scenario(
         ScenarioConfig(
@@ -114,12 +115,12 @@ def main() -> None:
                 n_parties=3,
                 faults=(("straggler", {"party": 1, "delay": 0.002}),),
             ),
-            scheduler="threaded",
         )
     )
-    print("[straggling party 1, threaded rounds]")
-    print(f"  ESA MSE        : {report.metrics['mse']:.4f} "
-          "(identical result, slower round)")
+    print("[straggling party 1, 2 ms per reply]")
+    print(f"  ESA MSE        : {report.metrics['mse']:.4f} (identical result)")
+    print(f"  simulated wait : {report.availability['sim_seconds']:.4f} s over "
+          f"{report.availability['rounds_total']} round(s)")
 
     try:
         run_scenario(

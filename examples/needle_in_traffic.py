@@ -11,9 +11,9 @@ and the attacker surfaces as the top-1 outlier under every arrival
 shape, while a per-shard rate limit (the blunt alternative) refuses
 benign tenants alongside the attacker.
 
-Also demonstrated: concurrent replay is bit-identical to single-shard
-serial replay on the per-consumer accounting — the determinism contract
-that makes the sharded numbers trustworthy.
+Also demonstrated: the 4-shard replay is bit-identical to a single-shard
+replay on the per-consumer accounting — the determinism contract that
+makes the sharded numbers trustworthy.
 
 Run:
     python examples/needle_in_traffic.py            # default scale
@@ -87,7 +87,7 @@ def main() -> None:
         report = sharded.replay(trace)
 
         # The determinism contract: the merged per-consumer accounting of
-        # the concurrent 4-shard replay equals a serial 1-shard replay.
+        # the 4-shard replay equals a 1-shard replay.
         oracle = ShardedPredictionService(
             vfl,
             n_shards=1,
@@ -96,7 +96,7 @@ def main() -> None:
             cache=True,
             cache_size=256,
             seed=0,
-        ).replay(trace, mode="serial")
+        ).replay(trace)
         assert report.consumer_accounting() == oracle.consumer_accounting()
 
         scores = report.anomaly_scores()

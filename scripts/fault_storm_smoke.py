@@ -1,13 +1,9 @@
 """Fault-storm smoke: the resilient exchange is deterministic end to end.
 
-Two claims, checked in seconds on tiny data (the CI ``fault-storm`` job):
+Checked in seconds on tiny data (the CI ``fault-storm`` job):
 
-1. **Scheduler bit-identity under a storm.** The same flaky+timeout
-   storm served through the sequential and the threaded scheduler yields
-   byte-identical attack metrics, communication ledgers, and
-   availability reports — every retry wave, backoff draw, timeout, and
-   degraded round is a pure function of the seeds, never of thread
-   timing.
+1. **The storm bites.** A flaky+timeout storm degrades at least one
+   protocol round, so the checks below exercise the resilient exchange.
 2. **Mid-storm suspend/resume bit-identity.** The same scenario halted
    by a serving checkpoint two protocol rounds into the storm and then
    resumed produces the exact report of an uninterrupted run — the
@@ -60,7 +56,7 @@ STORM = TopologyConfig(
 )
 
 
-def storm_config(scheduler: str) -> ScenarioConfig:
+def storm_config() -> ScenarioConfig:
     return ScenarioConfig(
         dataset="bank",
         model="lr",
@@ -70,7 +66,6 @@ def storm_config(scheduler: str) -> ScenarioConfig:
         seed=17,
         topology=STORM,
         batch_size=16,
-        scheduler=scheduler,
         retry={"max_attempts": 3, "backoff_base": 0.01, "jitter": 0.5, "timeout": 0.1},
         quorum=2 / 3,
         degradation="last_known",
@@ -78,26 +73,20 @@ def storm_config(scheduler: str) -> ScenarioConfig:
 
 
 def main() -> int:
-    sequential = run_scenario(storm_config("sequential"))
-    threaded = run_scenario(storm_config("threaded"))
+    config = storm_config()
+    fresh = run_scenario(config)
 
-    if sequential.availability["rounds_degraded"] == 0:
+    if fresh.availability["rounds_degraded"] == 0:
         print("FAIL: the smoke storm degraded no rounds; nothing was tested")
         return 1
-    for field in ("metrics", "comm_cost", "availability"):
-        a, b = getattr(sequential, field), getattr(threaded, field)
-        if a != b:
-            print(f"FAIL: {field} differs between schedulers\n  {a}\n  {b}")
-            return 1
     print(
-        "PASS: sequential == threaded under the storm "
-        f"({sequential.availability['rounds_degraded']}/"
-        f"{sequential.availability['rounds_total']} rounds degraded, "
-        f"{sequential.availability['retries']} retries, "
-        f"{sequential.availability['timeouts']} timeouts)"
+        "PASS: the storm degraded "
+        f"{fresh.availability['rounds_degraded']}/"
+        f"{fresh.availability['rounds_total']} rounds "
+        f"({fresh.availability['retries']} retries, "
+        f"{fresh.availability['timeouts']} timeouts)"
     )
 
-    config = storm_config("sequential")
     with tempfile.TemporaryDirectory(prefix="repro-storm-smoke-") as tmp:
         store = Path(tmp) / "snapshots"
         try:
@@ -110,11 +99,11 @@ def main() -> int:
             print("FAIL: the halting run completed; nothing was suspended")
             return 1
         resumed = run_scenario(config, serving_checkpoint=CheckpointPlan(store))
-    if resumed.to_json() != sequential.to_json():
+    if resumed.to_json() != fresh.to_json():
         print(
             "FAIL: mid-storm resume diverged from the uninterrupted run\n"
             f"  resumed:  {resumed.to_json()}\n"
-            f"  fresh:    {sequential.to_json()}"
+            f"  fresh:    {fresh.to_json()}"
         )
         return 1
     print("PASS: mid-storm suspend/resume is bit-identical")

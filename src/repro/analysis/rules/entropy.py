@@ -6,8 +6,8 @@ state into outputs: a payload stamped with ``time.time()`` can never
 equal its replay. Only the declared timing tier (``repro.bench``,
 ``benchmarks/``, the batch engine's elapsed-seconds bookkeeping) may
 read these sources; elapsed-time measurement via ``time.perf_counter``
-/ ``time.monotonic`` / ``time.sleep`` is allowed everywhere because it
-never feeds stored values' identity.
+/ ``time.monotonic`` is allowed everywhere because it never feeds
+stored values' identity.
 
 A legitimate out-of-tier use (e.g. a created-at stamp excluded from
 result identity) declares itself with an inline pragma, which is

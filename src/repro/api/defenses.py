@@ -133,7 +133,7 @@ class RoundingDefense(Defense):
     def wrap(
         self, model: BaseClassifier, rng: np.random.Generator | None = None
     ) -> BaseClassifier:
-        return RoundedModel._wrap(model, self.digits)
+        return RoundedModel(model, self.digits)
 
 
 @DEFENSES.register("noise")
@@ -162,7 +162,7 @@ class NoiseDefense(Defense):
         noise_rng = self.rng if self.rng is not None else rng
         if noise_rng is None:
             noise_rng = 0
-        return NoisyModel._wrap(model, self.scale, kind=self.kind, rng=noise_rng)
+        return NoisyModel(model, self.scale, kind=self.kind, rng=noise_rng)
 
 
 @DEFENSES.register("screening")

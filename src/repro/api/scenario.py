@@ -53,7 +53,7 @@ from repro.federated import (
     VerticalFLModel,
     train_vertical_model,
 )
-from repro.federation import SCHEDULERS, FederationRuntime, TopologyConfig
+from repro.federation import FederationRuntime, TopologyConfig
 from repro.metrics import aggregate_cbr, mse_per_feature, path_cbr, reconstruction_cbr
 from repro.models import BaseClassifier
 from repro.nn.data import train_test_split
@@ -210,7 +210,6 @@ def build_scenario(
     *,
     n_predictions: int | None = None,
     dropout: float = 0.0,
-    model_wrapper=None,
     model_params: dict[str, Any] | None = None,
     defense_stack: DefenseStack | None = None,
     query_budget: int | None = None,
@@ -221,7 +220,6 @@ def build_scenario(
     consumer: str = "scenario",
     topology: TopologyConfig | None = None,
     comm_budget: "int | float | None" = None,
-    scheduler: str = "sequential",
     checkpoint: "CheckpointPlan | None" = None,
     retry: "RetryPolicy | int | dict | None" = None,
     quorum: "int | float | None" = None,
@@ -246,9 +244,6 @@ def build_scenario(
         Override the number of accumulated predictions.
     dropout:
         Dropout probability for the NN model (Fig. 11e-f countermeasure).
-    model_wrapper:
-        Legacy hook: optional callable applied to the fitted model before
-        serving. Prefer ``defense_stack``.
     model_params:
         Extra keyword overrides for the model builder.
     defense_stack:
@@ -289,9 +284,6 @@ def build_scenario(
         ``on_budget_exhausted``: raise
         :class:`~repro.exceptions.CommBudgetExceededError`, or truncate
         the pool at the last affordable protocol round.
-    scheduler:
-        Federation round scheduler (``"sequential"``/``"threaded"``);
-        both are bit-identical, threading overlaps party work.
     checkpoint:
         A :class:`~repro.checkpoint.CheckpointPlan` for the
         accumulation: each served protocol round ends with a snapshot
@@ -382,8 +374,6 @@ def build_scenario(
         **overrides,
     )
     vfl = train_vertical_model(model, X_train, y_train, X_pool, y_pool, partition)
-    if model_wrapper is not None:
-        vfl.model = model_wrapper(model)
     if defense_rng is not None:
         vfl.model = defense_stack.wrap(vfl.model, rng=defense_rng)
 
@@ -394,7 +384,6 @@ def build_scenario(
     )
     runtime = FederationRuntime(
         vfl,
-        scheduler=scheduler,
         faults=None if topology is None else topology.fault_plan(),
         retry=retry,
         quorum=quorum,
@@ -435,14 +424,7 @@ def build_scenario(
         breaker=breaker,
         tracer=tracer,
     )
-    try:
-        V = service.query(picked, consumer=consumer, checkpoint=checkpoint)
-    finally:
-        # Release any threaded-scheduler workers now that the bulk
-        # accumulation is done; a later query through the retained
-        # service lazily recreates the pool, so sweeps that keep many
-        # reports alive do not pin one idle executor per scenario.
-        runtime.close()
+    V = service.query(picked, consumer=consumer, checkpoint=checkpoint)
     if V.shape[0] == 0:
         raise ScenarioError(
             "the deployment's budgets (query or communication) allowed no "
@@ -500,10 +482,11 @@ class ScenarioConfig:
     party count, colluders, column-apportionment strategy, and injected
     faults; ``comm_budget`` caps the wire bytes the protocol may move
     (absolute ``int`` bytes, or a ``float`` fraction of the undefended
-    accumulation's exact projected traffic); ``scheduler`` picks
-    sequential or threaded round execution (bit-identical either way).
-    The defaults — two-block topology, no budget, sequential — reproduce
-    the historical scenario bit-for-bit.
+    accumulation's exact projected traffic). The defaults — two-block
+    topology, no budget — reproduce the historical scenario bit-for-bit.
+    Every protocol round runs its parties one after another in party
+    order; injected latency (stragglers, timeouts) costs simulated
+    seconds on the resilience clock, never wall-clock time.
 
     The resilience knobs make the deployment survive a fault storm
     instead of aborting on it: ``retry`` (int attempts or a
@@ -545,7 +528,6 @@ class ScenarioConfig:
     on_budget_exhausted: str = "raise"
     topology: "TopologyConfig | None" = None
     comm_budget: "int | float | None" = None
-    scheduler: str = "sequential"
     retry: "int | dict | None" = None
     quorum: "int | float | None" = None
     degradation: str = "zero_fill"
@@ -662,7 +644,6 @@ class ScenarioReport:
                     None if config.topology is None else config.topology.to_payload()
                 ),
                 "comm_budget": config.comm_budget,
-                "scheduler": config.scheduler,
                 "retry": config.retry,
                 "quorum": config.quorum,
                 "degradation": config.degradation,
@@ -682,7 +663,9 @@ class ScenarioReport:
 
         Specs are normalized to tuples (JSON has no tuple type), so a
         round-tripped config compares equal to one declared with the
-        canonical tuple syntax.
+        canonical tuple syntax. A ``"scheduler"`` key, persisted before
+        protocol rounds had a single execution path, is ignored: every
+        value it held produced bit-identical results.
         """
         data = dict(payload["config"])
         config = ScenarioConfig(
@@ -713,7 +696,6 @@ class ScenarioReport:
                 else TopologyConfig.from_payload(data["topology"])
             ),
             comm_budget=data.get("comm_budget"),
-            scheduler=data.get("scheduler", "sequential"),
             # .get(): payloads persisted before the resilience layer
             # existed carry none of these keys and mean the defaults.
             retry=data.get("retry"),
@@ -851,11 +833,6 @@ def _validate(config: ScenarioConfig, attack: ScenarioAttack, stack: DefenseStac
         raise ScenarioError(
             "on_budget_exhausted must be 'raise' or 'truncate', got "
             f"{config.on_budget_exhausted!r}"
-        )
-    if config.scheduler not in SCHEDULERS:
-        raise ScenarioError(
-            f"unknown scheduler {config.scheduler!r}; choose from "
-            f"{sorted(SCHEDULERS)}"
         )
     _check_comm_budget(config.comm_budget)
     # from_spec raises with the exact malformed-field message; a quorum
@@ -1013,7 +990,6 @@ def run_scenario(
         or config.on_budget_exhausted != "raise"
         or config.topology is not None
         or config.comm_budget is not None
-        or config.scheduler != "sequential"
         or config.retry is not None
         or config.quorum is not None
         or config.degradation != "zero_fill"
@@ -1022,7 +998,7 @@ def run_scenario(
     ):
         raise ScenarioError(
             "serving and federation knobs (query_budget/batch_size/cache/"
-            "cache_size/on_budget_exhausted/topology/comm_budget/scheduler/"
+            "cache_size/on_budget_exhausted/topology/comm_budget/"
             "retry/quorum/degradation/breaker/telemetry) configure the "
             "deployment when the scenario is built and cannot apply to a "
             "prebuilt scenario; set them on build_scenario (or on its "
@@ -1057,7 +1033,6 @@ def run_scenario(
                     consumer=config.attack,
                     topology=config.topology,
                     comm_budget=config.comm_budget,
-                    scheduler=config.scheduler,
                     checkpoint=serving_checkpoint,
                     retry=config.retry,
                     quorum=config.quorum,

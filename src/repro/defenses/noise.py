@@ -9,8 +9,6 @@ vector (an output the active party would accept).
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.defenses.base import ModelWrapper
@@ -57,13 +55,8 @@ def noise_confidence_scores(
 class NoisyModel(ModelWrapper):
     """Wrap a fitted model so its confidence outputs are noised.
 
-    .. deprecated::
-        Construct the defense through :mod:`repro.api` instead —
-        ``DefenseStack(["noise"])`` or
-        ``ScenarioConfig(defenses=[("noise", {"scale": s})])`` — which
-        also lets noise chain with other output defenses. Direct
-        construction keeps working unchanged but emits a
-        :class:`DeprecationWarning`.
+    The ``"noise"`` entry of :mod:`repro.api`'s defense registry builds
+    this wrapper and lets it chain with other output defenses.
     """
 
     def __init__(
@@ -74,38 +67,7 @@ class NoisyModel(ModelWrapper):
         kind: str = "laplace",
         rng: np.random.Generator | int = 0,
     ) -> None:
-        warnings.warn(
-            "Constructing NoisyModel directly is deprecated; use the "
-            "'noise' entry of repro.api's defense registry "
-            "(DefenseStack or ScenarioConfig(defenses=...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._configure(model, scale, kind=kind, rng=rng)
-
-    @classmethod
-    def _wrap(
-        cls,
-        model: BaseClassifier,
-        scale: float,
-        *,
-        kind: str = "laplace",
-        rng: np.random.Generator | int = 0,
-    ) -> "NoisyModel":
-        """Internal constructor for the api layer (no deprecation warning)."""
-        wrapper = cls.__new__(cls)
-        wrapper._configure(model, scale, kind=kind, rng=rng)
-        return wrapper
-
-    def _configure(
-        self,
-        model: BaseClassifier,
-        scale: float,
-        *,
-        kind: str = "laplace",
-        rng: np.random.Generator | int = 0,
-    ) -> None:
-        ModelWrapper.__init__(self, model)
+        super().__init__(model)
         self.scale = check_in_range(scale, name="scale", low=0.0)
         if kind not in ("laplace", "gaussian"):
             raise ValidationError(f"kind must be 'laplace' or 'gaussian', got {kind!r}")

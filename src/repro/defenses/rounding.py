@@ -9,8 +9,6 @@ conclusion from Fig. 11).
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.defenses.base import ModelWrapper
@@ -34,34 +32,12 @@ def round_confidence_scores(v: np.ndarray, digits: int) -> np.ndarray:
 class RoundedModel(ModelWrapper):
     """Wrap a fitted model so its confidence outputs are truncated.
 
-    .. deprecated::
-        Construct the defense through :mod:`repro.api` instead —
-        ``DefenseStack(["rounding"])`` or
-        ``ScenarioConfig(defenses=[("rounding", {"digits": b})])`` —
-        which also lets rounding chain with other output defenses.
-        Direct construction keeps working unchanged but emits a
-        :class:`DeprecationWarning`.
+    The ``"rounding"`` entry of :mod:`repro.api`'s defense registry
+    builds this wrapper and lets it chain with other output defenses.
     """
 
     def __init__(self, model: BaseClassifier, digits: int) -> None:
-        warnings.warn(
-            "Constructing RoundedModel directly is deprecated; use the "
-            "'rounding' entry of repro.api's defense registry "
-            "(DefenseStack or ScenarioConfig(defenses=...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._configure(model, digits)
-
-    @classmethod
-    def _wrap(cls, model: BaseClassifier, digits: int) -> "RoundedModel":
-        """Internal constructor for the api layer (no deprecation warning)."""
-        wrapper = cls.__new__(cls)
-        wrapper._configure(model, digits)
-        return wrapper
-
-    def _configure(self, model: BaseClassifier, digits: int) -> None:
-        ModelWrapper.__init__(self, model)
+        super().__init__(model)
         self.digits = check_positive_int(digits, name="digits")
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ The same engine backs the CLI::
     python -m repro.experiments fig7 --scale smoke --jobs 4 --store-dir results/
 """
 
+from repro.api import VFLScenario, build_scenario, make_model
 from repro.config import (
     DEFAULT,
     FULL,
@@ -40,7 +41,6 @@ from repro.config import (
     ScaleConfig,
     get_scale,
 )
-from repro.experiments.common import VFLScenario, build_scenario, make_model
 from repro.experiments.reporting import ExperimentResult
 from repro.experiments.spec import (
     EXPERIMENT_SPECS,

@@ -14,7 +14,7 @@ anomaly score. The claim under test: the attacker ranks **top-1**,
 because accumulating a pool and re-querying it (to average per-query
 noise away) is an outlier in both volume and duplicate rate.
 
-Each unit also replays the same trace through a single serial shard and
+Each unit also replays the same trace through a single shard and
 asserts the per-consumer accounting is bit-identical
 (``shard_identical``), and repeats the run with a ``rate_limit`` policy
 sized to bind under attack-inflated load — the refusal counts show the
@@ -121,13 +121,10 @@ def traffic_run_unit(spec: TrialSpec, scale: ScaleConfig) -> dict:
             seed=spec.seed,
         )
 
-    # The audited deployment: concurrent 4-shard replay, plus the serial
-    # single-shard oracle the per-consumer accounting must match exactly.
-    audited = deploy(N_SHARDS, cache=True, specs=("query_audit",))
-    report = audited.replay(trace, mode="threads")
-    oracle = deploy(1, cache=True, specs=("query_audit",)).replay(
-        trace, mode="serial"
-    )
+    # The audited 4-shard deployment, plus the single-shard oracle the
+    # per-consumer accounting must match exactly.
+    report = deploy(N_SHARDS, cache=True, specs=("query_audit",)).replay(trace)
+    oracle = deploy(1, cache=True, specs=("query_audit",)).replay(trace)
     ranked = report.ranked_consumers()
     scores = report.anomaly_scores()
     benign_top = max(
@@ -142,7 +139,7 @@ def traffic_run_unit(spec: TrialSpec, scale: ScaleConfig) -> dict:
         N_SHARDS,
         cache=False,
         specs=("query_audit", ("rate_limit", {"max_queries": cap})),
-    ).replay(trace, mode="threads")
+    ).replay(trace)
 
     return {
         "attacker_rank": 1 + ranked.index(attacker),

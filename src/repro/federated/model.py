@@ -120,8 +120,6 @@ class VerticalFLModel:
         values.
         """
         sample_indices = self._request_ids(sample_indices, "hash")
-        # Shards replaying on threads may race to build the table; each
-        # builds the same content, so the race costs time, never bytes.
         if self._row_digests is None:
             joint = self._assemble(np.arange(self._n_samples))
             self._row_digests = np.array(

@@ -15,12 +15,11 @@ message-passing:
   message/byte accounting, rounds, optional budgets raising
   :class:`~repro.exceptions.CommBudgetExceededError`;
 - :mod:`~repro.federation.nodes` — party actors executing train/predict
-  as request/reply rounds;
-- :mod:`~repro.federation.scheduler` — sequential (reference) and
-  threaded (deterministic-barrier) round execution, bit-identical;
+  as request/reply rounds, one party after another in party order;
 - :mod:`~repro.federation.faults` — dropped parties, stragglers, and
   the seeded stochastic storm kinds (``flaky``/``crash_after``/
-  ``corrupt``/``timeout``) as injectable round behaviour;
+  ``corrupt``/``timeout``) as injectable round behaviour; stragglers
+  and timeouts cost simulated seconds, never real waits;
 - :mod:`~repro.federation.runtime` — :class:`FederationRuntime`, the
   façade the serving layer drives: ``predict`` is byte-identical to
   :meth:`~repro.federated.model.VerticalFLModel.predict` while every
@@ -36,7 +35,7 @@ message-passing:
 
     from repro.federation import FederationRuntime
 
-    runtime = FederationRuntime(vfl, scheduler="threaded", comm_budget=2**20)
+    runtime = FederationRuntime(vfl, comm_budget=2**20)
     v = runtime.predict(sample_ids)            # == vfl.predict, but metered
     print(runtime.ledger.as_dict()["bytes"])   # exact wire traffic
 """
@@ -59,13 +58,6 @@ from repro.federation.message import (
 )
 from repro.federation.nodes import ActivePartyNode, PartyNode, PassivePartyNode
 from repro.federation.runtime import FederationRuntime, train_vertical_runtime
-from repro.federation.scheduler import (
-    SCHEDULERS,
-    RoundScheduler,
-    SequentialScheduler,
-    ThreadedScheduler,
-    make_scheduler,
-)
 from repro.federation.topology import TopologyConfig
 from repro.federation.transport import DeliveryRecord, Transport
 
@@ -89,11 +81,6 @@ __all__ = [
     "PartyNode",
     "ActivePartyNode",
     "PassivePartyNode",
-    "RoundScheduler",
-    "SequentialScheduler",
-    "ThreadedScheduler",
-    "SCHEDULERS",
-    "make_scheduler",
     "FAULT_KINDS",
     "FaultPlan",
     "FederationRuntime",

@@ -1,26 +1,29 @@
 """Fault injection for federation protocol rounds.
 
 Real multi-party deployments lose parties and wait on stragglers; the
-in-process simulation can now express both — plus the *stochastic*
-storm kinds the resilience layer retries against. A :class:`FaultPlan`
-is built from ``(kind, params)`` specs — the same shape as defense
-specs, so scenario configs serialize them — and handed to the
-:class:`~repro.federation.runtime.FederationRuntime`, whose party nodes
-consult it at response time:
+in-process simulation expresses both, plus the *stochastic* storm
+kinds the resilience layer retries against. All latency is simulated:
+it accrues on the resilience layer's clock, never as a real wait. A
+:class:`FaultPlan` is built from ``(kind, params)`` specs — the same
+shape as defense specs, so scenario configs serialize them — and
+handed to the :class:`~repro.federation.runtime.FederationRuntime`,
+whose party nodes consult it at response time:
 
 ``("drop", {"party": p})``
     Party ``p`` never answers; the round fails with
     :class:`~repro.exceptions.PartyUnavailableError` naming the party
     and round (or degrades, under a quorum policy).
 ``("straggler", {"party": p, "delay": seconds})``
-    Party ``p`` sleeps before responding. Under the threaded scheduler
-    the other parties proceed concurrently and the deterministic round
-    barrier still merges replies in party order, so a straggler costs
-    wall-clock time but never changes bytes or results.
+    Every reply of party ``p`` takes ``delay`` *simulated* seconds
+    (default 0.001): the same plan entry as ``("timeout", {"party": p,
+    "p": 1.0, "delay": seconds})``. A straggler costs simulated time,
+    never bytes or results, unless a retry policy's per-attempt timeout
+    is shorter than ``delay``.
 ``("flaky", {"party": p, "p": prob, "seed": s})``
     Each attempt by party ``p`` fails independently with probability
     ``prob``; a retry may succeed. Decisions come from the chaos
-    engine's pure per-cell streams, so they are scheduler-independent.
+    engine's pure per-cell streams, so they do not depend on call
+    order.
 ``("crash_after", {"party": p, "round": r})``
     Party ``p`` answers rounds ``0..r-1`` then permanently crashes —
     retrying is pointless and the resilient exchange knows it.
@@ -79,22 +82,20 @@ def _check_seed(params: dict, kind: str) -> int:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """Resolved fault injection: drops, stragglers, and stochastic storms.
+    """Resolved fault injection: drops and stochastic storms.
 
     Attributes
     ----------
     dropped:
         Parties that never answer (deterministic, permanent).
-    delays:
-        Per-party straggler sleep in wall-clock seconds.
     stochastic:
         Per-party ``(kind, normalized_params)`` for the chaos-driven
-        kinds; :meth:`outcome` turns an entry into the
+        kinds, stragglers included as certain timeouts;
+        :meth:`outcome` turns an entry into the
         :class:`~repro.resilience.FaultOutcome` for one attempt.
     """
 
     dropped: frozenset = frozenset()
-    delays: dict = field(default_factory=dict)
     stochastic: dict = field(default_factory=dict)
 
     @classmethod
@@ -107,7 +108,6 @@ class FaultPlan:
         specs rather than silently overwriting the first.
         """
         dropped: set[int] = set()
-        delays: dict[int, float] = {}
         stochastic: dict[int, tuple[str, dict]] = {}
         claimed: dict[int, tuple] = {}
         for spec in specs:
@@ -140,7 +140,7 @@ class FaultPlan:
                 delay = check_in_range(
                     float(params.get("delay", 0.001)), name="straggler delay", low=0.0
                 )
-                delays[party] = delay
+                stochastic[party] = ("timeout", {"p": 1.0, "delay": delay, "seed": 0})
             elif kind == "flaky":
                 stochastic[party] = (
                     "flaky",
@@ -178,12 +178,12 @@ class FaultPlan:
                      "delay": delay,
                      "seed": _check_seed(params, kind)},
                 )
-        return cls(dropped=frozenset(dropped), delays=delays, stochastic=stochastic)
+        return cls(dropped=frozenset(dropped), stochastic=stochastic)
 
     @property
     def is_noop(self) -> bool:
         """True when the plan injects nothing."""
-        return not self.dropped and not self.delays and not self.stochastic
+        return not self.dropped and not self.stochastic
 
     @property
     def has_stochastic(self) -> bool:
@@ -228,7 +228,7 @@ class FaultPlan:
         Party 0 initiates rounds, so dropping or delaying it is a
         mis-specification, not a simulable fault.
         """
-        for party in sorted({*self.dropped, *self.delays, *self.stochastic}):
+        for party in sorted({*self.dropped, *self.stochastic}):
             if party == 0:
                 raise ValidationError(
                     "cannot inject faults into party 0: the active party "

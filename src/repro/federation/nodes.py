@@ -11,15 +11,13 @@ Nodes never touch another node's state: everything they learn arrives
 through :meth:`~repro.federation.transport.Transport.receive` and
 everything they reveal leaves through a returned
 :class:`~repro.federation.message.Message` that the runtime sends (and
-the ledger meters). Fault injection hooks in here — a dropped party
-raises :class:`~repro.exceptions.PartyUnavailableError` instead of
-replying, a straggler sleeps first — so both schedulers exercise the
-identical failure surface.
+the ledger meters). Fault injection hooks in here: a dropped, crashed
+or flaky party raises :class:`~repro.exceptions.PartyUnavailableError`
+instead of replying. Latency faults (stragglers, timeouts) still reply;
+the runtime charges their delay to the simulated clock.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
@@ -71,14 +69,11 @@ class PassivePartyNode(PartyNode):
     def respond(self, attempt: int, outcome: FaultOutcome) -> Message:
         """Answer the oldest pending request with this party's block.
 
-        The unit of work a scheduler runs on its own thread: pop the
-        request from this node's inbox, honour any injected fault, gather
-        the local columns, and return the reply message for the runtime
-        to send. Only this node's own state is touched — the stochastic
-        fault decision for ``(party, round, attempt)`` is a pure chaos
-        function — which is what makes the threaded scheduler race-free.
-        The runtime draws that decision once per cell and passes it as
-        ``outcome``.
+        Pop the request from this node's inbox, honour any injected
+        fault, gather the local columns, and return the reply message
+        for the runtime to send. The stochastic fault decision for
+        ``(party, round, attempt)`` is a pure chaos function; the
+        runtime draws it once per cell and passes it as ``outcome``.
         """
         request = self.transport.receive(self.party_id)
         if request.kind not in _REQUEST_TO_REPLY:
@@ -106,9 +101,6 @@ class PassivePartyNode(PartyNode):
         # "corrupt" and "timeout" outcomes still produce the reply: the
         # runtime (which holds the same pure outcome) flips the frame in
         # flight / accounts the simulated latency.
-        delay = self.faults.delays.get(self.party_id)
-        if delay:
-            time.sleep(delay)
         rows = np.asarray(request.payload, dtype=np.int64).ravel()
         return Message(
             sender=self.party_id,

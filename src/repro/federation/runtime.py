@@ -7,7 +7,7 @@ node requests rows, passive party nodes reply with their encoded column
 blocks, and the active node assembles and evaluates — every cross-party
 value a serialized :class:`~repro.federation.message.Message` charged to
 the :class:`~repro.federation.ledger.CommLedger`. The in-process
-concatenation survives as the *oracle*: for any scheduler,
+concatenation survives as the *oracle*:
 :meth:`FederationRuntime.predict` is byte-identical to
 :meth:`VerticalFLModel.predict` (the wire codec is lossless for float64
 blocks and the assembly scatter is column-for-column the same).
@@ -22,7 +22,6 @@ stays central, matching the paper's perfectly-protected training phase.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -48,36 +47,15 @@ from repro.federation.nodes import (
     ActivePartyNode,
     PassivePartyNode,
 )
-from repro.federation.scheduler import RoundScheduler, make_scheduler
 from repro.federation.transport import Transport
 from repro.models.base import BaseClassifier
-from repro.resilience import DEGRADATIONS, FaultOutcome, ResilienceState, RetryPolicy
+from repro.resilience import DEGRADATIONS, ResilienceState, RetryPolicy
 
 __all__ = ["FederationRuntime", "train_vertical_runtime"]
 
 
-def _guarded_respond(node: PassivePartyNode, attempt: int, outcome: FaultOutcome):
-    """Wrap one responder so a failing party returns its error.
-
-    The resilient exchange needs *every* party's outcome for the wave —
-    a raised :class:`PartyUnavailableError` would make the scheduler
-    cancel the sibling tasks — so failures travel back as values and the
-    runtime sorts survivors from casualties afterwards. ``outcome`` is
-    the cell's fault decision, drawn once by the runtime.
-    """
-
-    def task() -> object:
-        try:
-            return node.respond(attempt, outcome)
-        except PartyUnavailableError as exc:
-            return exc
-
-    return task
-
-
 def _exchange_round(
     transport: Transport,
-    scheduler: RoundScheduler,
     active: ActivePartyNode,
     passives: "list[PassivePartyNode]",
     rows: np.ndarray,
@@ -86,12 +64,10 @@ def _exchange_round(
     """One request/reply exchange: blocks from every passive party.
 
     The single definition of a protocol round, shared by prediction and
-    training: requests go out in party order, the scheduler runs the
-    passive responders (serially or on threads), and replies are sent
-    and drained in party order — the deterministic barrier that keeps
-    both schedulers bit-identical. On any failure (budget, dropped
-    party) the transport is cleared so delivered-but-unconsumed frames
-    cannot poison a later round.
+    training: requests go out, the passive parties respond, and replies
+    are sent and drained, each step in party order. On any failure
+    (budget, dropped party) the transport is cleared so
+    delivered-but-unconsumed frames cannot poison a later round.
     """
     round_id = transport.ledger.begin_round()
     completed = False
@@ -100,14 +76,12 @@ def _exchange_round(
             transport.send(
                 active.make_request(node.party_id, rows, round_id, kind=kind)
             )
-        replies = scheduler.run_round(
-            [
-                functools.partial(
-                    node.respond, 0, node.faults.outcome(node.party_id, round_id, 0)
-                )
-                for node in passives
-            ]
-        )
+        # Every party answers before any reply is sent, so a party that
+        # fails the round leaves no reply bytes on the ledger.
+        replies = [
+            node.respond(0, node.faults.outcome(node.party_id, round_id, 0))
+            for node in passives
+        ]
         for reply in replies:
             transport.send(reply)
         blocks = active.collect_blocks(len(passives), round_id)
@@ -129,10 +103,6 @@ class FederationRuntime:
     ----------
     vfl:
         The deployment to serve (model + partition + aligned parties).
-    scheduler:
-        ``"sequential"`` (reference), ``"threaded"`` (parallel party
-        execution behind a deterministic round barrier), or a
-        :class:`~repro.federation.scheduler.RoundScheduler` instance.
     comm_budget:
         Byte budget for the underlying :class:`CommLedger`; an
         over-budget send raises
@@ -141,7 +111,7 @@ class FederationRuntime:
         Optional cap on message count.
     faults:
         A :class:`~repro.federation.faults.FaultPlan` (or ``None``) —
-        dropped parties, straggler delays, and stochastic storm kinds,
+        dropped parties, stragglers, and stochastic storm kinds,
         validated against the deployment's party count.
     retry:
         A :class:`~repro.resilience.RetryPolicy`, an int attempt count,
@@ -175,7 +145,6 @@ class FederationRuntime:
         self,
         vfl: VerticalFLModel,
         *,
-        scheduler: "str | RoundScheduler" = "sequential",
         comm_budget: "int | None" = None,
         message_budget: "int | None" = None,
         faults: "FaultPlan | None" = None,
@@ -186,7 +155,6 @@ class FederationRuntime:
         _transport: "Transport | None" = None,
     ) -> None:
         self.vfl = vfl
-        self.scheduler = make_scheduler(scheduler)
         if _transport is not None:
             if comm_budget is not None or message_budget is not None:
                 raise ValidationError(
@@ -310,21 +278,19 @@ class FederationRuntime:
     def _exchange_inner(self, kind: str, rows: np.ndarray) -> dict[int, np.ndarray]:
         if self.resilience is not None:
             return self._resilient_round(kind, rows)
-        return _exchange_round(
-            self.transport, self.scheduler, self._active, self._passives, rows, kind
-        )
+        return _exchange_round(self.transport, self._active, self._passives, rows, kind)
 
     def _resilient_round(self, kind: str, rows: np.ndarray) -> dict[int, np.ndarray]:
         """One request/reply exchange under retries, timeouts, and quorum.
 
         Structured as retry *waves*: every still-pending party gets a
-        fresh (metered) request, the scheduler runs the responders with
-        failures returned as values, the wave's replies are delivered
-        and drained in party order, and the simulated clock pays the
+        fresh (metered) request and responds in party order, a party
+        that raises :class:`PartyUnavailableError` is recorded as a
+        casualty of the wave, the wave's replies are delivered and
+        drained in party order, and the simulated clock pays the
         slowest surviving reply plus any backoff. Every stochastic
         decision is a pure chaos function of ``(party, round, attempt)``,
-        so the whole storm is bit-identical across schedulers and
-        resumable mid-storm.
+        so the whole storm is reproducible and resumable mid-storm.
         """
         transport = self.transport
         policy = self.retry_policy
@@ -356,18 +322,14 @@ class FederationRuntime:
                     transport.send(
                         self._active.make_request(party, rows, round_id, kind=kind)
                     )
-                outcomes = [self.faults.outcome(p, round_id, attempt) for p in pending]
-                replies = self.scheduler.run_round(
-                    [
-                        _guarded_respond(node_by_id[p], attempt, outcome)
-                        for p, outcome in zip(pending, outcomes)
-                    ]
-                )
                 wave_latency = 0.0
                 still_pending: list[int] = []
                 delivered: list[int] = []
-                for party, reply, outcome in zip(pending, replies, outcomes):
-                    if isinstance(reply, PartyUnavailableError):
+                for party in pending:
+                    outcome = self.faults.outcome(party, round_id, attempt)
+                    try:
+                        reply = node_by_id[party].respond(attempt, outcome)
+                    except PartyUnavailableError:
                         last_failure[party] = outcome.kind
                         if outcome.permanent:
                             crashed.add(party)
@@ -532,7 +494,7 @@ class FederationRuntime:
         """Confidence scores via one protocol round, ``(N, C)``.
 
         Byte-identical to :meth:`VerticalFLModel.predict` for the same
-        indices (regression-tested per model kind and scheduler), with
+        indices (regression-tested per model kind), with
         every passive block metered on the way in.
         """
         indices = np.asarray(sample_indices, dtype=np.int64).ravel()
@@ -549,10 +511,6 @@ class FederationRuntime:
         """Serve every sample of the aligned prediction dataset."""
         return self.predict(np.arange(self.vfl.n_samples))
 
-    def close(self) -> None:
-        """Release scheduler workers (idempotent; safe to skip for GC)."""
-        self.scheduler.close()
-
     def __repr__(self) -> str:
         spans = 0 if self.tracer is None else self.tracer.records_emitted
         degraded = (
@@ -560,7 +518,7 @@ class FederationRuntime:
         )
         return (
             f"FederationRuntime(parties={self.n_parties}, "
-            f"scheduler={self.scheduler.name!r}, rounds={self.ledger.rounds}, "
+            f"rounds={self.ledger.rounds}, "
             f"degraded={degraded}, spans={spans})"
         )
 
@@ -573,7 +531,6 @@ def train_vertical_runtime(
     y_pred: np.ndarray,
     partition: FeaturePartition,
     *,
-    scheduler: "str | RoundScheduler" = "sequential",
     comm_budget: "int | None" = None,
     message_budget: "int | None" = None,
     faults: "FaultPlan | None" = None,
@@ -605,7 +562,6 @@ def train_vertical_runtime(
     y_train = np.asarray(y_train, dtype=np.int64)
     train_parties = build_parties(X_train, y_train, partition)
     transport = Transport(CommLedger(comm_budget, message_budget=message_budget))
-    round_scheduler = make_scheduler(scheduler)
     fault_plan = faults if faults is not None else FaultPlan()
     fault_plan.validate_parties(len(train_parties))
 
@@ -614,16 +570,13 @@ def train_vertical_runtime(
         PassivePartyNode(party, transport, fault_plan) for party in train_parties[1:]
     ]
     rows = np.arange(X_train.shape[0])
-    blocks = _exchange_round(
-        transport, round_scheduler, active, passives, rows, TRAIN_REQUEST
-    )
+    blocks = _exchange_round(transport, active, passives, rows, TRAIN_REQUEST)
     joint = active.assemble(rows, blocks, train_parties, partition.n_features)
     model.fit(joint, y_train)
 
     vfl = VerticalFLModel(model, partition, build_parties(X_pred, y_pred, partition))
     return FederationRuntime(
         vfl,
-        scheduler=round_scheduler,
         faults=fault_plan,
         retry=retry,
         quorum=quorum,

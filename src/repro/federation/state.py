@@ -1,8 +1,8 @@
 """Checkpoint codec for federation state: the communication ledger.
 
 Registered in :data:`repro.checkpoint.CHECKPOINTS` on federation-package
-import. Snapshots are taken at round boundaries — the scheduler never
-suspends mid-round — so the resumable protocol state is exactly the
+import. Snapshots are taken at round boundaries — a round never
+suspends midway — so the resumable protocol state is exactly the
 ledger: budgets, per-edge message/byte tallies, and the round counter.
 Edge keys are ``(sender, receiver)`` int tuples, which JSON cannot key;
 they travel as an ordered list of ``[sender, receiver, messages, bytes]``

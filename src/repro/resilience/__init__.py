@@ -5,8 +5,7 @@ attacks are only as interesting as the serving stack that survives long
 enough to answer queries. This package makes failure a *first-class,
 reproducible* input: a storm of flaky parties, crashes, corrupted
 frames and timeouts is just another seeded scenario — bit-identical
-across schedulers, across checkpoint/resume, and free of wall-clock
-time.
+run to run, across checkpoint/resume, and free of wall-clock time.
 
 - :mod:`~repro.resilience.chaos` — every stochastic fault decision is a
   pure function of ``(seed, party, round, attempt)`` under the library's

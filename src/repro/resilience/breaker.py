@@ -13,7 +13,7 @@ re-opening (another full cooldown).
 Everything is counted in requests, not seconds: wall-clock backed
 breakers would violate the determinism contract (the ``wallclock-entropy``
 lint rule), and request counts make breaker trajectories bit-identical
-across schedulers and checkpoint/resume — the breaker state is part of
+run to run and across checkpoint/resume — the breaker state is part of
 the serving snapshot via :mod:`repro.resilience.state`.
 """
 

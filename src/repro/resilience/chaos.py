@@ -4,7 +4,7 @@ Every stochastic fault decision — does party ``p`` flake in round ``r``
 on attempt ``a``? how long does its reply take? which byte of the frame
 flips? — is a *pure function* of ``(seed, party, round, attempt)``.
 Nothing is mutated between decisions, so the answers cannot depend on
-scheduler interleaving, on which other parties are still retrying, or
+call order, on which other parties are still retrying, or
 on where a checkpoint cut the run: the three properties that make a
 storm bit-reproducible fall out of statelessness rather than careful
 locking.

@@ -7,8 +7,8 @@ timing tier). :class:`SimClock` is the whole answer: a monotone float
 counter the resilient exchange advances by the *declared* latency of
 each wave — the slowest surviving reply, plus any backoff between retry
 attempts. Because advancing is pure arithmetic over deterministic
-inputs, the clock reading after any round is bit-identical across
-schedulers and survives checkpoint/resume exactly.
+inputs, the clock reading after any round is bit-identical run to run
+and survives checkpoint/resume exactly.
 """
 
 from __future__ import annotations

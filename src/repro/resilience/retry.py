@@ -7,7 +7,7 @@ waves, how much seeded jitter decorrelates the backoffs, and the
 per-attempt latency bound past which a reply counts as timed out. The
 jitter draw comes from the chaos engine's pure decision streams
 (:func:`~repro.resilience.chaos.decision_rng` with the jitter salt), so
-two schedulers — or a checkpoint-resumed run — compute byte-identical
+two runs — or a checkpoint-resumed run — compute byte-identical
 backoff schedules.
 
 Policies JSON round-trip (:meth:`to_payload` / :meth:`from_payload`)

@@ -18,10 +18,9 @@ holes:
   count is always explainable as "evicted, recomputed, recharged"
   rather than silent bookkeeping drift.
 
-The cache is deliberately not thread-safe: the serving layer's
-concurrency model is share-nothing shards (see
-:mod:`repro.workload.sharded`), each owning its caches outright, which
-is also what makes sharded replay bit-identical to serial replay.
+The cache is deliberately not thread-safe: the serving layer scales
+out as share-nothing shards (see :mod:`repro.workload.sharded`), each
+owning its caches outright and served on the calling thread.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ The observability layer the rest of the stack reports into. A
 ``breaker.transition``, ``checkpoint.snapshot``, ``grna.epoch`` — whose
 canonical content (logical ticks, steps, simulated-clock seconds,
 attrs) is a pure function of (config, seed): the same scenario traced
-on the sequential and the threaded scheduler, or across shard counts,
-or killed and resumed, produces the same records. Wall-clock durations
+twice, across shard counts, or killed and resumed, produces the same
+records. Wall-clock durations
 ride in a quarantined ``wall`` field sourced exclusively from
 :mod:`repro.telemetry.wall` (the lint timing tier's only telemetry
 member) and ignored by every determinism check.

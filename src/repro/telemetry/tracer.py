@@ -25,8 +25,8 @@ tracer is built with ``wall=True``, exclusively through
 :mod:`repro.telemetry.wall`, and is ignored by every determinism check.
 
 Span records are emitted at *close* time, so the sink order is the
-close order — itself deterministic because spans are only opened and
-closed from coordinator code, never inside scheduler worker tasks.
+close order — itself deterministic because every protocol round and
+shard replay runs on the calling thread.
 Closing pops the top of the open-span stack regardless of which handle
 the ``with`` block holds: a checkpoint restore may have rewritten the
 stack mid-span (see :mod:`repro.telemetry.state`), and the restored

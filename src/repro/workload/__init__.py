@@ -11,8 +11,8 @@ integer seed:
   (thousands-to-millions of named tenants) and :func:`attacker_trace`
   (one adversary's accumulation), merged by arrival time;
 - :mod:`~repro.workload.sharded` — :class:`ShardedPredictionService`,
-  N share-nothing serving shards whose concurrent replay is
-  bit-identical to serial replay, merged into a :class:`WorkloadReport`
+  N share-nothing serving shards whose merged per-consumer accounting
+  is bit-identical across shard counts, in a :class:`WorkloadReport`
   whose anomaly ranking answers the needle-in-traffic question: does
   the GRNA/PRA/ESA consumer stand out from benign load?
 

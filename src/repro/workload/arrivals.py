@@ -6,8 +6,8 @@ horizon with a shape. This module is the registry of those shapes. Each
 arrival process is a vectorized sampler ``(rng, n_events, horizon) ->
 float64 times`` returning ``n_events`` arrival instants in
 ``[0, horizon)``, sorted ascending, fully determined by the generator it
-is handed — the property every downstream determinism proof (sharded ==
-serial replay, trace round-trips) rests on.
+is handed — the property every downstream determinism proof (N shards
+== 1 shard, trace round-trips) rests on.
 
 The league of registered processes:
 

@@ -1,4 +1,4 @@
-"""Sharded multi-tenant serving: concurrent replay, serial accounting.
+"""Sharded multi-tenant serving: share-nothing shards, merged accounting.
 
 :class:`ShardedPredictionService` runs ``n_shards`` independent
 :class:`~repro.serving.PredictionService` instances over one deployed
@@ -6,15 +6,12 @@ model. The design is **share-nothing**: every shard owns its
 :class:`~repro.serving.QueryLedger`, its (LRU-bounded) response caches,
 and its own :class:`~repro.api.defenses.DefenseStack` instances, and
 every consumer is pinned to exactly one shard by a stable content hash
-of its name (``crc32``, never Python's salted ``hash``). Because no
-serving state crosses a shard boundary and each shard processes its
-consumers' requests in trace order, concurrent replay is **bit-identical
-to serial replay of the same shards** — no locks, no retries, and the
-differential tests assert equality on the merged accounting, not mere
-statistical agreement.
+of its name (``crc32``, never Python's salted ``hash``). Replay serves
+the shards one after another on the calling thread, each shard its
+consumers' requests in trace order.
 
-A second, stronger invariance — the merged accounting not depending on
-the *shard count* at all (``N`` shards == 1 shard) — holds exactly when
+The merged accounting does not depend on the *shard count* at all
+(``N`` shards == 1 shard, asserted bit-for-bit) exactly when
 all serving state is consumer-scoped: ``cache_scope="consumer"`` (the
 default here), per-consumer budgets only, and consumer-scoped defense
 signals. Deployment-wide state (a shared cache, ``rate_limit``'s global
@@ -34,7 +31,6 @@ from __future__ import annotations
 
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any
 
@@ -56,11 +52,6 @@ from repro.utils.validation import check_positive_int
 from repro.workload.trace import TrafficTrace
 
 __all__ = ["ShardedPredictionService", "WorkloadReport", "shard_of"]
-
-#: Replay execution modes: one worker thread per shard, or the same
-#: shard-by-shard work on the calling thread (the differential oracle).
-REPLAY_MODES = ("threads", "serial")
-
 
 def shard_of(consumer: str, n_shards: int) -> int:
     """The shard a consumer is pinned to — a stable content hash.
@@ -89,7 +80,6 @@ class WorkloadReport:
     """
 
     n_shards: int
-    mode: str
     trace: dict[str, Any]
     ledger: dict[str, Any]
     shard_ledgers: list[dict[str, Any]]
@@ -180,9 +170,8 @@ class WorkloadReport:
         }
 
     def as_dict(self) -> dict[str, Any]:
-        """JSON-ready report: accounting plus mode and throughput."""
+        """JSON-ready report: accounting plus throughput."""
         payload = self.accounting()
-        payload["mode"] = self.mode
         payload["elapsed_s"] = self.elapsed_s
         payload["queries_per_second"] = self.queries_per_second
         return payload
@@ -194,16 +183,14 @@ class ShardedPredictionService:
     Parameters
     ----------
     vfl:
-        The deployment every shard serves. The model itself is read-only
-        during prediction (its lazy kernel tables are warmed before any
-        concurrent fan-out), so sharing it is safe.
+        The deployment every shard serves.
     n_shards:
         Number of independent serving shards.
     defense_specs:
         Defense specs (as accepted by
         :meth:`~repro.api.defenses.DefenseStack.from_specs`) built
         **fresh per shard** — online defenses carry mutable tallies that
-        must not be shared across concurrent shards.
+        must not be shared across shards.
     consumer_budgets:
         Per-consumer query caps, handed to every shard's ledger (a
         consumer is pinned to one shard, so its cap binds exactly once).
@@ -232,9 +219,8 @@ class ShardedPredictionService:
         gets its **own** memory-sink tracer (share-nothing, like the
         ledgers), stamped with the global trace event index as the
         record ``step`` — :meth:`merged_trace` merges them back in
-        ``(step, seq)`` order, which is invariant to both the replay
-        mode and (on consumer-scoped ``(step, kind, attrs)`` content)
-        the shard count.
+        ``(step, seq)`` order, which on consumer-scoped
+        ``(step, kind, attrs)`` content is invariant to the shard count.
     """
 
     def __init__(
@@ -277,8 +263,7 @@ class ShardedPredictionService:
                     rng=shard_rng,
                     exhaustion=exhaustion,
                     breaker=breaker,
-                    # Share-nothing telemetry: concurrent shard workers
-                    # must never race one tracer's counters.
+                    # Share-nothing telemetry, like the ledgers.
                     tracer=Tracer(MemorySink()) if tracer is not None else None,
                 )
             )
@@ -287,72 +272,41 @@ class ShardedPredictionService:
         """The shard serving ``consumer`` (stable across runs/processes)."""
         return shard_of(consumer, self.n_shards)
 
-    def _warm_kernels(self) -> None:
-        """Build the model's lazy kernel tables before concurrent fan-out.
-
-        Tree/forest deployments flatten their structures into decision
-        tables on first predict; racing that first call from several
-        shard workers is the one write the otherwise read-only model
-        would see. One serial throwaway round (never charged, never
-        logged) makes every later predict a pure read.
-        """
-        self.vfl.predict(np.zeros(1, dtype=np.int64))
-
     def replay(
         self,
         trace: TrafficTrace,
         *,
-        mode: str = "threads",
         checkpoint: "CheckpointPlan | None" = None,
     ) -> WorkloadReport:
         """Replay a trace through the shards and merge the accounting.
 
-        ``mode="threads"`` runs one worker per shard;  ``mode="serial"``
-        performs the identical per-shard work on the calling thread.
-        The two are bit-identical by construction — ``serial`` exists as
-        the differential oracle and for profiling.
-
-        With a ``checkpoint`` plan (``mode="serial"`` only — a snapshot
-        captures a serial replay cursor), every event boundary may emit
-        a snapshot of all shard ledgers, caches, defense rng streams and
+        The shards are served one after another on the calling thread.
+        With a ``checkpoint`` plan, every event boundary may emit a
+        snapshot of all shard ledgers, caches, defense rng streams and
         the refusal tallies, and the call first resumes mid-trace from
         the plan's latest matching snapshot. The resumed report's
-        accounting is bit-identical to an uninterrupted serial replay —
-        which is itself bit-identical to the threaded one. Checkpointing
-        refuses defense stacks: per-defense tallies are not snapshotted.
+        accounting is bit-identical to an uninterrupted replay.
+        Checkpointing refuses defense stacks: per-defense tallies are
+        not snapshotted.
         """
-        if mode not in REPLAY_MODES:
-            raise ValidationError(
-                f"mode must be one of {REPLAY_MODES}, got {mode!r}"
-            )
         if trace.n_events == 0:
             raise ValidationError("cannot replay an empty trace")
-        if checkpoint is not None:
-            if mode != "serial":
-                raise ValidationError(
-                    "checkpointed replay requires mode='serial': a snapshot "
-                    "captures one serial cursor through the shards, which "
-                    "concurrent workers do not have"
-                )
-            if self.defense_specs:
-                raise ValidationError(
-                    "checkpointed replay refuses defense stacks: per-defense "
-                    "tallies are not snapshotted, so a resumed replay could "
-                    "diverge silently"
-                )
+        if checkpoint is not None and self.defense_specs:
+            raise ValidationError(
+                "checkpointed replay refuses defense stacks: per-defense "
+                "tallies are not snapshotted, so a resumed replay could "
+                "diverge silently"
+            )
         if self.tracer is None:
-            return self._replay_inner(trace, mode, checkpoint)
-        # The replay mode is deliberately not a span attr: the threaded
-        # and the serial replay of one trace produce identical records.
+            return self._replay_inner(trace, checkpoint)
         with self.tracer.span("workload.replay", events=int(trace.n_events)) as span:
-            report = self._replay_inner(trace, mode, checkpoint)
+            report = self._replay_inner(trace, checkpoint)
             span["refused"] = int(sum(report.refusals.values()))
             return report
 
     def _replay_inner(
         self,
         trace: TrafficTrace,
-        mode: str,
         checkpoint: "CheckpointPlan | None",
     ) -> WorkloadReport:
         pins = np.fromiter(
@@ -368,27 +322,16 @@ class ShardedPredictionService:
         was_logging = self.vfl.log_predictions
         self.vfl.log_predictions = False
         try:
-            self._warm_kernels()
             start = time.perf_counter()
             if checkpoint is not None:
                 refusal_maps = self._replay_checkpointed(
                     trace, shard_events, checkpoint
                 )
-            elif mode == "serial" or self.n_shards == 1:
+            else:
                 refusal_maps = [
                     self._replay_shard(trace, s, shard_events[s])
                     for s in range(self.n_shards)
                 ]
-            else:
-                with ThreadPoolExecutor(max_workers=self.n_shards) as pool:
-                    refusal_maps = list(
-                        pool.map(
-                            lambda s: self._replay_shard(
-                                trace, s, shard_events[s]
-                            ),
-                            range(self.n_shards),
-                        )
-                    )
             elapsed = time.perf_counter() - start
         finally:
             self.vfl.log_predictions = was_logging
@@ -398,7 +341,6 @@ class ShardedPredictionService:
             refusals.update(shard_refusals)  # consumers pinned -> disjoint
         return WorkloadReport(
             n_shards=self.n_shards,
-            mode=mode,
             trace=trace.as_dict(),
             ledger=QueryLedger.merged(s.ledger for s in self.shards).as_dict(),
             shard_ledgers=[s.ledger.as_dict() for s in self.shards],
@@ -408,7 +350,7 @@ class ShardedPredictionService:
         )
 
     # ------------------------------------------------------------------
-    # Checkpointed serial replay
+    # Checkpointed replay
     # ------------------------------------------------------------------
     def _replay_fingerprint(self, trace: TrafficTrace) -> str:
         """Bind snapshots to this exact trace against this shard layout."""
@@ -458,7 +400,7 @@ class ShardedPredictionService:
         shard_events: "list[np.ndarray]",
         checkpoint: CheckpointPlan,
     ) -> "list[dict[str, int]]":
-        """Serial replay with per-event snapshot boundaries and resume."""
+        """Replay with per-event snapshot boundaries and resume."""
         checkpoint.bind_fingerprint(self._replay_fingerprint(trace))
         snapshot = checkpoint.latest()
         refusal_maps: list[dict[str, int]] = [{} for _ in range(self.n_shards)]
@@ -476,7 +418,7 @@ class ShardedPredictionService:
             refusal_maps = [dict(m) for m in snapshot.meta["refusals"]]
             resume_shard = int(snapshot.meta["shard"])
             resume_cursor = int(snapshot.meta["cursor"])
-        # Global event numbering across the serial shard order, so the
+        # Global event numbering across the shard order, so the
         # snapshot step keeps increasing when the cursor crosses shards.
         bases = np.zeros(self.n_shards + 1, dtype=np.int64)
         np.cumsum([ev.size for ev in shard_events], out=bases[1:])

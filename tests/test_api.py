@@ -420,29 +420,11 @@ class TestDefenseStack:
 
 
 class TestDeprecationShims:
-    def test_rounded_model_warns_but_works(self, fitted_lr, blobs):
-        from repro.defenses import RoundedModel
-
-        X, _ = blobs
-        with pytest.warns(DeprecationWarning, match="RoundedModel"):
-            wrapped = RoundedModel(fitted_lr, 2)
-        v = wrapped.predict_proba(X[:5])
-        np.testing.assert_allclose(v * 100, np.floor(fitted_lr.predict_proba(X[:5]) * 100))
-
-    def test_noisy_model_warns_but_works(self, fitted_lr, blobs):
-        from repro.defenses import NoisyModel
-
-        X, _ = blobs
-        with pytest.warns(DeprecationWarning, match="NoisyModel"):
-            wrapped = NoisyModel(fitted_lr, 0.01, rng=0)
-        assert wrapped.predict_proba(X[:5]).shape == fitted_lr.predict_proba(X[:5]).shape
-
     def test_shim_equals_api_wrapper(self, fitted_lr, blobs):
         from repro.defenses import RoundedModel
 
         X, _ = blobs
-        with pytest.warns(DeprecationWarning):
-            legacy = RoundedModel(fitted_lr, 2)
+        legacy = RoundedModel(fitted_lr, 2)
         api_wrapped = DefenseStack.from_specs([("rounding", {"digits": 2})]).wrap(
             fitted_lr
         )
@@ -476,23 +458,6 @@ class TestDeprecationShims:
         np.testing.assert_array_equal(
             legacy_result.x_target_hat, api_result.x_target_hat
         )
-
-    def test_legacy_common_imports_still_work(self):
-        from repro.experiments.common import (  # noqa: F401
-            MODEL_KINDS,
-            VFLScenario,
-            build_scenario,
-            grna_kwargs_from_scale,
-            make_model,
-        )
-
-        assert MODEL_KINDS == ("lr", "nn", "dt", "rf")
-
-    def test_legacy_experiments_config_import(self):
-        from repro.config import SMOKE as canonical
-        from repro.experiments.config import SMOKE as shimmed
-
-        assert shimmed is canonical
 
 
 class TestReportPersistence:

@@ -21,7 +21,7 @@ from repro.attacks import (
     random_path,
 )
 from repro.config import ScaleConfig
-from repro.experiments.common import build_scenario, grna_kwargs_from_scale
+from repro.api import build_scenario, grna_kwargs_from_scale
 from repro.experiments.figures import (
     fig5_run_unit,
     fig5_units,
@@ -321,13 +321,13 @@ class TestFederationEquivalence:
     :class:`~repro.federation.FederationRuntime`; these tests pin the
     acceptance criteria: default configs reproduce the legacy skeletons
     to the bit (the classes above already run through the runtime — here
-    the *non-default* schedulers must agree too), every cross-party
+    batched rounds must agree too), every cross-party
     float in a predict round is accounted in the CommLedger, and the
     ledger's bytes equal the sum of encoded frame sizes exactly.
     """
 
-    def test_fig5_bit_identical_under_threaded_scheduler(self):
-        """Threaded, batched rounds reproduce the legacy payload exactly."""
+    def test_fig5_bit_identical_with_batched_rounds(self):
+        """Batched rounds reproduce the legacy payload exactly."""
         from repro.api import ScenarioConfig, run_scenario
 
         for unit in fig5_units(TINY, datasets=("bank",), seed=5):
@@ -342,38 +342,12 @@ class TestFederationEquivalence:
                     scale=TINY,
                     seed=unit.seed,
                     baselines=("uniform", "gaussian"),
-                    scheduler="threaded",
                     batch_size=16,
                 )
             )
             assert report.metrics["mse"] == legacy["esa_mse"]
             assert report.metrics["rg_uniform_mse"] == legacy["rg_uniform_mse"]
             assert report.metrics["rg_gaussian_mse"] == legacy["rg_gaussian_mse"]
-
-    @pytest.mark.parametrize(
-        "model_kind,attack",
-        [("lr", "esa"), ("nn", "grna"), ("dt", "pra"), ("rf", "grna")],
-    )
-    def test_serial_equals_threaded_for_every_model_kind(self, model_kind, attack):
-        """Scheduler choice never changes a report, for any model kind."""
-        from repro.api import ScenarioConfig, run_scenario
-
-        def run(scheduler):
-            return run_scenario(
-                ScenarioConfig(
-                    dataset="bank",
-                    model=model_kind,
-                    attack=attack,
-                    target_fraction=0.4,
-                    scale=TINY,
-                    seed=11,
-                    scheduler=scheduler,
-                )
-            )
-
-        serial, threaded = run("sequential"), run("threaded")
-        assert serial.metrics == threaded.metrics
-        assert serial.comm_cost == threaded.comm_cost
 
     def test_every_cross_party_float_is_accounted(self):
         """Ledger bytes == sum of encoded frames; zero unmetered transfers."""
@@ -542,15 +516,13 @@ class TestCheckpointEquivalence:
                 seed=5,
             )
 
-        fresh = make_sharded().replay(trace, mode="serial")
+        fresh = make_sharded().replay(trace)
         with pytest.raises(CheckpointPause):
             make_sharded().replay(
-                trace,
-                mode="serial",
-                checkpoint=CheckpointPlan(tmp_path, every=2, halt_after=7),
+                trace, checkpoint=CheckpointPlan(tmp_path, every=2, halt_after=7)
             )
         resumed = make_sharded().replay(
-            trace, mode="serial", checkpoint=CheckpointPlan(tmp_path, every=2)
+            trace, checkpoint=CheckpointPlan(tmp_path, every=2)
         )
         assert resumed.accounting() == fresh.accounting()
         assert resumed.refusals == fresh.refusals

@@ -15,7 +15,7 @@ from repro.experiments import (
     run_experiment,
     table2_datasets,
 )
-from repro.experiments.config import SMOKE
+from repro.config import SMOKE
 from repro.models import (
     DecisionTreeClassifier,
     LogisticRegression,
@@ -159,19 +159,6 @@ class TestBuildScenario:
     def test_n_predictions_override(self):
         scenario = build_scenario("bank", "lr", 0.4, TINY, seed=0, n_predictions=30)
         assert scenario.V.shape[0] == 30
-
-    def test_model_wrapper_applied(self):
-        from repro.api import DefenseStack
-        from repro.defenses import RoundedModel
-
-        wrap = DefenseStack.from_specs([("rounding", {"digits": 1})]).wrap
-        scenario = build_scenario(
-            "bank", "lr", 0.4, TINY, seed=0,
-            model_wrapper=wrap,
-        )
-        assert isinstance(scenario.model, RoundedModel)
-        v_digits = scenario.V * 10
-        np.testing.assert_allclose(v_digits, np.round(v_digits), atol=1e-9)
 
 
 class TestRunners:

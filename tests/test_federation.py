@@ -1,9 +1,9 @@
-"""Tests for the federation runtime: codec, ledger, transport, schedulers,
-party nodes, fault injection, and the scenario-facade integration.
+"""Tests for the federation runtime: codec, ledger, transport, party
+nodes, fault injection, and the scenario-facade integration.
 
 The two load-bearing contracts:
 
-- **bit-identity** — for every model kind and either scheduler,
+- **bit-identity** — for every model kind,
   :meth:`FederationRuntime.predict` is byte-identical to the in-process
   :meth:`VerticalFLModel.predict` oracle;
 - **metering exactness** — ledger bytes == sum of encoded frame sizes ==
@@ -22,6 +22,7 @@ from repro.config import ScaleConfig
 from repro.datasets import load_dataset
 from repro.exceptions import (
     CommBudgetExceededError,
+    PartyTimeoutError,
     PartyUnavailableError,
     ProtocolError,
     ValidationError,
@@ -39,7 +40,6 @@ from repro.federation import (
     decode_message,
     encode_message,
     encoded_size,
-    make_scheduler,
     train_vertical_runtime,
 )
 from repro.federation.message import _HEADER, MAGIC
@@ -277,50 +277,16 @@ class TestTransport:
 
 
 # ----------------------------------------------------------------------
-# Schedulers
-# ----------------------------------------------------------------------
-class TestSchedulers:
-    def test_unknown_scheduler_lists_choices(self):
-        with pytest.raises(ValidationError, match="sequential.*threaded"):
-            make_scheduler("quantum")
-
-    def test_results_come_back_in_task_order(self):
-        tasks = [lambda i=i: i for i in range(8)]
-        assert make_scheduler("sequential").run_round(tasks) == list(range(8))
-        threaded = make_scheduler("threaded")
-        try:
-            assert threaded.run_round(tasks) == list(range(8))
-        finally:
-            threaded.close()
-
-    def test_threaded_propagates_task_errors(self):
-        def boom():
-            raise PartyUnavailableError("party 2 dropped")
-
-        threaded = make_scheduler("threaded")
-        try:
-            with pytest.raises(PartyUnavailableError):
-                threaded.run_round([lambda: 1, boom])
-        finally:
-            threaded.close()
-
-
-# ----------------------------------------------------------------------
 # Runtime: bit-identity and metering exactness
 # ----------------------------------------------------------------------
 class TestRuntimePredict:
     @pytest.mark.parametrize("model_kind", ["lr", "nn", "dt", "rf"])
-    @pytest.mark.parametrize("scheduler", ["sequential", "threaded"])
-    def test_bit_identical_to_in_process_protocol(self, model_kind, scheduler):
-        """runtime.predict == vfl.predict, byte for byte, per scheduler."""
+    def test_bit_identical_to_in_process_protocol(self, model_kind):
+        """runtime.predict == vfl.predict, byte for byte."""
         vfl = deploy(model_kind)
         indices = np.arange(40)
         expected = vfl.predict(indices)
-        runtime = FederationRuntime(vfl, scheduler=scheduler)
-        try:
-            got = runtime.predict(indices)
-        finally:
-            runtime.close()
+        got = FederationRuntime(vfl).predict(indices)
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n_parties", [2, 4])
@@ -370,18 +336,6 @@ class TestRuntimePredict:
         service.query(np.arange(50))
         assert runtime.ledger.total_bytes == estimate
         assert runtime.ledger.rounds == 4  # ceil(50/16) padded rounds
-
-    def test_threaded_and_sequential_traffic_identical(self):
-        vfl = deploy("lr", n_parties=4)
-        sequential = FederationRuntime(vfl, scheduler="sequential")
-        v1 = sequential.predict(np.arange(30))
-        threaded = FederationRuntime(vfl, scheduler="threaded")
-        try:
-            v2 = threaded.predict(np.arange(30))
-        finally:
-            threaded.close()
-        assert v1.tobytes() == v2.tobytes()
-        assert sequential.ledger.as_dict() == threaded.ledger.as_dict()
 
     def test_empty_request_rejected(self):
         with pytest.raises(ProtocolError, match="no sample ids"):
@@ -485,33 +439,41 @@ class TestTrainRound:
 # Fault injection
 # ----------------------------------------------------------------------
 class TestFaults:
-    @pytest.mark.parametrize("scheduler", ["sequential", "threaded"])
-    def test_dropped_party_fails_the_round(self, scheduler):
+    def test_dropped_party_fails_the_round(self):
         vfl = deploy("lr", n_parties=3)
         runtime = FederationRuntime(
-            vfl,
-            scheduler=scheduler,
-            faults=FaultPlan.from_specs([("drop", {"party": 2})]),
+            vfl, faults=FaultPlan.from_specs([("drop", {"party": 2})])
         )
-        try:
-            with pytest.raises(PartyUnavailableError, match="party 2 dropped"):
-                runtime.predict(np.arange(10))
-        finally:
-            runtime.close()
+        with pytest.raises(PartyUnavailableError, match="party 2 dropped"):
+            runtime.predict(np.arange(10))
 
     def test_straggler_changes_nothing_but_time(self):
+        """A straggler costs simulated seconds, never bytes or results."""
         vfl = deploy("lr", n_parties=3)
-        reference = FederationRuntime(vfl).predict(np.arange(15))
-        runtime = FederationRuntime(
+        delay, rounds = 0.125, 5
+        straggler = [("straggler", {"party": 1, "delay": delay})]
+        reference = FederationRuntime(vfl)
+        runtime = FederationRuntime(vfl, faults=FaultPlan.from_specs(straggler))
+        for r in range(rounds):
+            rows = np.arange(8 * r, 8 * r + 8)
+            assert runtime.predict(rows).tobytes() == reference.predict(rows).tobytes()
+        assert runtime.ledger.as_dict() == reference.ledger.as_dict()
+        assert runtime.transport.delivered_bytes == reference.transport.delivered_bytes
+        assert runtime.availability_report()["sim_seconds"] == rounds * delay
+        # Only a per-attempt timeout shorter than the delay makes it fail.
+        impatient = FederationRuntime(
             vfl,
-            scheduler="threaded",
-            faults=FaultPlan.from_specs([("straggler", {"party": 1, "delay": 0.002})]),
+            faults=FaultPlan.from_specs(straggler),
+            retry={"max_attempts": 1, "timeout": delay / 2},
         )
-        try:
-            delayed = runtime.predict(np.arange(15))
-        finally:
-            runtime.close()
-        assert delayed.tobytes() == reference.tobytes()
+        with pytest.raises(PartyTimeoutError):
+            impatient.predict(np.arange(8))
+
+    def test_straggler_is_a_certain_timeout(self):
+        straggler = FaultPlan.from_specs([("straggler", {"party": 1, "delay": 0.5})])
+        timeout = FaultPlan.from_specs([("timeout", {"party": 1, "p": 1.0, "delay": 0.5})])
+        assert straggler == timeout
+        assert FaultPlan.from_specs([("straggler", {"party": 1})]).outcome(1, 0, 0).latency == 0.001
 
     def test_unknown_fault_kind_lists_choices(self):
         with pytest.raises(ValidationError, match="drop.*straggler"):
@@ -640,8 +602,6 @@ class TestScenarioIntegration:
     def test_invalid_knobs_rejected_with_choices(self):
         from repro.exceptions import ScenarioError
 
-        with pytest.raises(ScenarioError, match="scheduler"):
-            run_scenario(self._config(scheduler="warp"))
         with pytest.raises(ScenarioError, match="comm_budget"):
             run_scenario(self._config(comm_budget=0))
         with pytest.raises(ScenarioError, match=r"\(0, 1\]"):
@@ -677,8 +637,6 @@ class TestScenarioIntegration:
 
         scenario = build_scenario("bank", "lr", 0.4, TINY, 5)
         with pytest.raises(ScenarioError, match="prebuilt"):
-            run_scenario(self._config(scheduler="threaded"), scenario=scenario)
-        with pytest.raises(ScenarioError, match="prebuilt"):
             run_scenario(self._config(comm_budget=1024), scenario=scenario)
 
     def test_report_payload_round_trips_topology_and_comm_cost(self):
@@ -689,7 +647,6 @@ class TestScenarioIntegration:
                 topology=TopologyConfig(n_parties=3, partition="dirichlet"),
                 comm_budget=1.0,
                 batch_size=30,
-                scheduler="threaded",
                 on_budget_exhausted="truncate",
             )
         )
@@ -697,17 +654,26 @@ class TestScenarioIntegration:
         assert restored.config == report.config
         assert restored.comm_cost == report.comm_cost
         assert restored.config.topology == report.config.topology
-        assert restored.config.scheduler == "threaded"
 
     def test_old_payloads_without_federation_keys_still_load(self):
         from repro.api import ScenarioReport
 
         report = run_scenario(self._config())
         payload = report.to_payload()
-        for key in ("topology", "comm_budget", "scheduler"):
+        for key in ("topology", "comm_budget"):
             del payload["config"][key]
         del payload["comm_cost"]
         restored = ScenarioReport.from_payload(payload)
         assert restored.config.topology is None
-        assert restored.config.scheduler == "sequential"
         assert restored.comm_cost == {}
+
+    @pytest.mark.parametrize("scheduler", ["sequential", "threaded"])
+    def test_legacy_scheduler_key_is_ignored(self, scheduler):
+        """Payloads persisted with a ``scheduler`` key load as if it were absent."""
+        from repro.api import ScenarioReport
+
+        payload = run_scenario(self._config()).to_payload()
+        legacy = {**payload, "config": {**payload["config"], "scheduler": scheduler}}
+        restored = ScenarioReport.from_payload(legacy)
+        assert restored.config == ScenarioReport.from_payload(payload).config
+        assert "scheduler" not in restored.to_payload()["config"]

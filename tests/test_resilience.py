@@ -5,7 +5,7 @@ The load-bearing contracts:
 
 - **chaos purity** — every stochastic fault decision is a pure function
   of ``(seed, party, round, attempt)``, so storms are bit-identical
-  across schedulers and across checkpoint/resume;
+  run to run and across checkpoint/resume;
 - **metered resilience** — retries are real request frames on the
   ledger, timeouts are counted, and ledger bytes equal the transport's
   delivered frame bytes even when frames are corrupted in flight;
@@ -13,8 +13,6 @@ The load-bearing contracts:
   default, the legacy exchange runs untouched and reports stay
   byte-identical to the pre-resilience layout (plus empty new fields).
 """
-
-import threading
 
 import numpy as np
 import pytest
@@ -39,7 +37,6 @@ from repro.federation import (
     Message,
     TopologyConfig,
     decode_message,
-    make_scheduler,
 )
 from repro.federation.message import _HEADER
 from repro.federation.nodes import FEATURE_REQUEST
@@ -99,7 +96,7 @@ def deploy(n_parties=3, n=120, seed=0):
     )
 
 
-def storm_runtime(vfl, scheduler="sequential", **kwargs):
+def storm_runtime(vfl, **kwargs):
     kwargs.setdefault(
         "faults",
         FaultPlan.from_specs(
@@ -112,7 +109,7 @@ def storm_runtime(vfl, scheduler="sequential", **kwargs):
     kwargs.setdefault("retry", {"max_attempts": 3, "backoff_base": 0.01, "timeout": 0.1})
     kwargs.setdefault("quorum", 2 / 3)
     kwargs.setdefault("degradation", "last_known")
-    return FederationRuntime(vfl, scheduler=scheduler, **kwargs)
+    return FederationRuntime(vfl, **kwargs)
 
 
 class TestChaosEngine:
@@ -357,46 +354,6 @@ class TestWireCorruption:
         assert message.round_id == 2
 
 
-class TestSchedulerCancellation:
-    def test_failing_task_does_not_leak_siblings(self):
-        """Regression: an early failure must join the surviving futures.
-
-        Before the fix, ``run_round`` raised while later tasks were
-        still running on the pool — ``close()`` (and interpreter
-        shutdown) then blocked on them, and a task completing *after*
-        the raise could touch transport state of an aborted round.
-        """
-        scheduler = make_scheduler("threaded")
-        finished = []
-        started = threading.Event()
-        release = threading.Event()
-
-        def fails():
-            started.wait(timeout=5.0)
-            raise PartyUnavailableError("party 1 is gone")
-
-        def slow():
-            started.set()
-            release.wait(timeout=5.0)
-            finished.append(True)
-            return "ok"
-
-        try:
-            # Release the sibling shortly after the failure fires, while
-            # run_round is (correctly) blocked joining it.
-            threading.Timer(0.05, release.set).start()
-            with pytest.raises(PartyUnavailableError):
-                scheduler.run_round([fails, slow])
-            # The barrier held: the sibling was already running when the
-            # failure surfaced, so run_round joined it before raising —
-            # nothing is still running behind the round's back.
-            assert finished == [True]
-            # The pool survives the failed round and still runs cleanly.
-            assert scheduler.run_round([lambda: 1, lambda: 2]) == [1, 2]
-        finally:
-            scheduler.close()
-
-
 class TestResilientExchange:
     def test_engaged_without_faults_matches_oracle(self):
         vfl = deploy()
@@ -578,23 +535,6 @@ class TestResilientExchange:
             runtime.predict(np.arange(start, start + 8))
         assert runtime.ledger.retries > 0
         assert len(cells) == len(set(cells)) == runtime.ledger.rounds * 2 + runtime.ledger.retries
-
-    def test_storm_is_bit_identical_across_schedulers(self):
-        vfl = deploy()
-        outputs = {}
-        for scheduler in ("sequential", "threaded"):
-            runtime = storm_runtime(vfl, scheduler=scheduler)
-            blocks = [runtime.predict(np.arange(s, s + 8)) for s in range(0, 40, 8)]
-            outputs[scheduler] = (
-                np.concatenate(blocks),
-                runtime.ledger.as_dict(),
-                runtime.availability_report(),
-            )
-            runtime.close()
-        seq, thr = outputs["sequential"], outputs["threaded"]
-        assert np.array_equal(seq[0], thr[0])
-        assert seq[1] == thr[1]
-        assert seq[2] == thr[2]
 
     def test_resilience_state_codec_roundtrip(self):
         state = ResilienceState()

@@ -2,7 +2,7 @@
 
 The determinism contract under test: every canonical record field (all
 but ``wall``) is a pure function of (config, seed) — identical across
-schedulers, shard counts, and kill/resume; ``wall`` is quarantined and
+runs, shard counts, and kill/resume; ``wall`` is quarantined and
 ignored by every comparison.
 """
 
@@ -272,19 +272,6 @@ class TestScenarioTelemetry:
         scale = get_scale("smoke")
         assert report.telemetry["by_kind"]["grna.epoch"] == scale.grna_epochs
 
-    def test_threaded_equals_sequential_modulo_wall(self):
-        runs = {
-            scheduler: run_scenario(
-                ScenarioConfig(**CFG, telemetry={"wall": True}, scheduler=scheduler)
-            )
-            for scheduler in ("sequential", "threaded")
-        }
-        divergence = trace_diff(
-            runs["sequential"].scenario.tracer.sink.records,
-            runs["threaded"].scenario.tracer.sink.records,
-        )
-        assert divergence is None
-
     def test_report_payload_roundtrip(self):
         on = run_scenario(ScenarioConfig(**CFG, telemetry=True))
         restored = ScenarioReport.from_json(on.to_json())
@@ -348,24 +335,17 @@ def served_vfl():
     return _VFL_CACHE["vfl"]
 
 
-def replay_traced(n_shards, mode="serial"):
+def replay_traced(n_shards):
     vfl = served_vfl()
     trace = make_trace(5, 40, n_samples=vfl.n_samples, batch_size=4, seed=7)
     service = ShardedPredictionService(
         vfl, n_shards=n_shards, cache=True, tracer=Tracer()
     )
-    report = service.replay(trace, mode=mode)
+    report = service.replay(trace)
     return report, service
 
 
 class TestShardedTelemetry:
-    def test_threads_equal_serial_merged_trace(self):
-        _, threaded = replay_traced(3, mode="threads")
-        _, serial = replay_traced(3, mode="serial")
-        assert strip_wall(threaded.merged_trace()) == strip_wall(
-            serial.merged_trace()
-        )
-
     def test_coordinator_span(self):
         report, service = replay_traced(2)
         [record] = service.tracer.sink.records
@@ -417,7 +397,6 @@ class TestReprs:
         runtime = report.scenario.runtime
         text = repr(runtime)
         assert text.startswith("FederationRuntime(")
-        assert "scheduler='sequential'" in text
         assert "rounds=1" in text and "degraded=0" in text
         assert f"spans={runtime.tracer.records_emitted}" in text
 
